@@ -34,9 +34,9 @@
  *
  * Knobs: GPM_CLUSTER_M (comma list, default "4,16,64"),
  * GPM_CLUSTER_N (default "16,64,256"), GPM_CLUSTER_ITERS (default
- * 50), plus GPM_SCALE / GPM_PROFILE_CACHE / GPM_PROFILE_CACHE_DIR.
- * Shares the 5-mode profile cache suffix (.k5) with the many-core
- * policy bench.
+ * 50), plus GPM_SCALE / GPM_PROFILE_CACHE_DIR. The 5-mode profiles
+ * share the profile store with every other bench (entries are keyed
+ * by the DVFS table).
  */
 
 #include <algorithm>
@@ -157,21 +157,9 @@ main()
         "MaxBIPS-DP allocation) and hierarchical-vs-flat BIPS at "
         "4-64 chips x 16-256 cores, k = 5 modes.");
 
-    DvfsTable dvfs = DvfsTable::linear(5);
-    double scale = bench::scaleFromEnv();
-    ProfileLibrary lib(dvfs, scale);
-    if (std::string dir = bench::cacheDirFromEnv(); !dir.empty()) {
-        lib.attachStore(dir);
-        lib.buildSuite();
-    } else {
-        std::string path = bench::cachePathFromEnv() + ".k5";
-        if (scale != 1.0) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", scale);
-            path += buf;
-        }
-        lib.loadOrBuild(path);
-    }
+    bench::Env env(DvfsTable::linear(5));
+    ProfileLibrary &lib = env.lib;
+    const DvfsTable &dvfs = env.dvfs;
 
     const std::vector<std::size_t> chip_counts =
         listFromEnv("GPM_CLUSTER_M", "4,16,64");
@@ -310,7 +298,7 @@ main()
                 "\"gap_pct\": %.3f, \"scale\": %g }",
                 mchips, n, dvfs.numModes(), kLevels, iters, p50,
                 p99, kBudgetFrac, hier_bips, flat_bips, gap * 100.0,
-                scale);
+                env.scale);
             bench::appendBenchLine(rec);
         }
     }

@@ -29,9 +29,9 @@
  *
  * Knobs: GPM_MANYCORE_N (comma list, default "8,64,256,1024"),
  * GPM_MANYCORE_ITERS (default 100), plus GPM_SCALE /
- * GPM_PROFILE_CACHE / GPM_PROFILE_CACHE_DIR. The 5-mode profiles
- * get their own monolithic cache file (<cache>.k5[.sS]) so they
- * never clobber the 3-mode suite cache.
+ * GPM_PROFILE_CACHE_DIR. The 5-mode profiles share the profile
+ * store with the 3-mode suite (entries are keyed by the DVFS table,
+ * so they never collide).
  */
 
 #include <algorithm>
@@ -194,21 +194,9 @@ main()
 
     // k = 5 linear modes: the many-core frontier needs more than the
     // paper's 3 points to differentiate DP/water-fill/greedy.
-    DvfsTable dvfs = DvfsTable::linear(5);
-    double scale = bench::scaleFromEnv();
-    ProfileLibrary lib(dvfs, scale);
-    if (std::string dir = bench::cacheDirFromEnv(); !dir.empty()) {
-        lib.attachStore(dir);
-        lib.buildSuite();
-    } else {
-        std::string path = bench::cachePathFromEnv() + ".k5";
-        if (scale != 1.0) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), ".s%g", scale);
-            path += buf;
-        }
-        lib.loadOrBuild(path);
-    }
+    bench::Env env(DvfsTable::linear(5));
+    ProfileLibrary &lib = env.lib;
+    const DvfsTable &dvfs = env.dvfs;
 
     const std::vector<std::size_t> core_counts = coreCountsFromEnv();
     const std::size_t iters = itersFromEnv();
@@ -303,7 +291,7 @@ main()
                 "\"gap_pct\": %.3f, \"scale\": %g }",
                 n, dvfs.numModes(), p.name, iters, p50, p99,
                 trimFrac * 100.0, budget_frac, bips, ref_bips,
-                exact ? "bnb" : "lp", gap * 100.0, scale);
+                exact ? "bnb" : "lp", gap * 100.0, env.scale);
             bench::appendBenchLine(rec);
         }
     }

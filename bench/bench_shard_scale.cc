@@ -42,7 +42,7 @@
  *
  * Knobs: GPM_BENCH_SHARD_CONNS (default 8),
  * GPM_BENCH_SHARD_PER_CONN (default 128), plus the usual
- * GPM_SCALE / GPM_PROFILE_CACHE.
+ * GPM_SCALE / GPM_PROFILE_CACHE_DIR.
  */
 
 #include <algorithm>
@@ -108,6 +108,17 @@ struct PhaseResult
     std::vector<double> latenciesMs; // one per scenario
     std::size_t failures = 0;
 };
+
+/** Merge per-client latencies into @p res, sorted. */
+void
+collectLatencies(PhaseResult &res,
+                 const std::vector<std::vector<double>> &lats)
+{
+    for (const auto &l : lats)
+        res.latenciesMs.insert(res.latenciesMs.end(), l.begin(),
+                               l.end());
+    std::sort(res.latenciesMs.begin(), res.latenciesMs.end());
+}
 
 double
 percentile(const std::vector<double> &sorted, double p)
@@ -354,10 +365,7 @@ drivePhase(std::uint16_t port, std::size_t conns,
     }
     res.wallMs = wall.ms();
     res.failures = failures.load();
-    for (auto &l : lats)
-        res.latenciesMs.insert(res.latenciesMs.end(), l.begin(),
-                               l.end());
-    std::sort(res.latenciesMs.begin(), res.latenciesMs.end());
+    collectLatencies(res, lats);
     return res;
 }
 
@@ -386,11 +394,13 @@ routerPhase(bench::Env &env, const std::string &cacheDir,
  * One failover client: submit @p count scenarios one at a time,
  * retrying retryable errors (busy / rejected_overload / draining)
  * and transport drops with a fresh connection. internal_error is
- * never retryable — it counts as a hard failure.
+ * never retryable — it counts as a hard failure. Each completed
+ * scenario records one latency in @p latencies: first send to the
+ * accepted answer, retries included.
  */
 void
 runRetryClient(std::uint16_t port, std::size_t id,
-               std::size_t count,
+               std::size_t count, std::vector<double> &latencies,
                std::atomic<std::size_t> &completed,
                std::atomic<std::size_t> &retries,
                std::atomic<std::size_t> &hardFailures)
@@ -399,6 +409,7 @@ runRetryClient(std::uint16_t port, std::size_t id,
     TcpStream stream;
     for (std::size_t k = 0; k < count; k++) {
         std::string req = submitLine(id, k);
+        bench::WallTimer timer;
         bool done = false;
         for (int attempt = 0; attempt < maxAttempts && !done;
              attempt++) {
@@ -421,6 +432,7 @@ runRetryClient(std::uint16_t port, std::size_t id,
                 continue;
             }
             if (line.find("\"ok\":true") != std::string::npos) {
+                latencies.push_back(timer.ms());
                 completed++;
                 done = true;
                 break;
@@ -496,13 +508,14 @@ main()
         RouterUnderTest rt(fleet.endpoints);
         warmThrough(rt.port());
 
+        std::vector<std::vector<double>> lats(killClients);
         bench::WallTimer wall;
         std::vector<std::thread> clients;
         for (std::size_t c = 0; c < killClients; c++)
             clients.emplace_back(
                 runRetryClient, rt.port(), c, killPerClient,
-                std::ref(completed), std::ref(retries),
-                std::ref(hardFailures));
+                std::ref(lats[c]), std::ref(completed),
+                std::ref(retries), std::ref(hardFailures));
         // Let the load get going, then take a backend down
         // mid-flight.
         std::this_thread::sleep_for(
@@ -519,6 +532,7 @@ main()
         PhaseResult res;
         res.wallMs = wall.ms();
         res.failures = hardFailures.load();
+        collectLatencies(res, lats);
         char extra[128];
         std::snprintf(extra, sizeof(extra),
                       ", \"retries\": %zu, \"rerouted\": %llu, "

@@ -18,7 +18,8 @@
  * reset() call: the reactor fully drains the scan loop before it
  * reads again, which is exactly that window.
  *
- * Framing contract (mirrors the old TcpStream::readLine):
+ * Framing contract (shared by the reactor, the router's backend
+ * readers and TcpStream::readLine):
  *  - '\n' terminates a line and is consumed, never returned;
  *  - one trailing '\r' is stripped (CRLF tolerance);
  *  - a line longer than the maxLine passed to next() yields

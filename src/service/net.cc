@@ -114,7 +114,7 @@ TcpStream::TcpStream(TcpStream &&o) noexcept
     : fd_(std::exchange(o.fd_, -1)),
       readTimeoutMs(std::exchange(o.readTimeoutMs, 0)),
       writeTimeoutMs(std::exchange(o.writeTimeoutMs, 0)),
-      rdbuf(std::move(o.rdbuf))
+      rdbuf(std::exchange(o.rdbuf, LineScanner()))
 {
 }
 
@@ -126,7 +126,7 @@ TcpStream::operator=(TcpStream &&o) noexcept
         fd_ = std::exchange(o.fd_, -1);
         readTimeoutMs = std::exchange(o.readTimeoutMs, 0);
         writeTimeoutMs = std::exchange(o.writeTimeoutMs, 0);
-        rdbuf = std::move(o.rdbuf);
+        rdbuf = std::exchange(o.rdbuf, LineScanner());
     }
     return *this;
 }
@@ -178,22 +178,21 @@ TcpStream::connectTo(const std::string &host, std::uint16_t port)
 TcpStream::ReadStatus
 TcpStream::readLine(std::string &line, std::size_t max_len)
 {
+    constexpr std::size_t kChunk = 4096;
     for (;;) {
-        std::size_t nl = rdbuf.find('\n');
-        if (nl != std::string::npos && nl <= max_len) {
-            line.assign(rdbuf, 0, nl);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            rdbuf.erase(0, nl + 1);
+        std::string_view view;
+        switch (rdbuf.next(view, max_len)) {
+        case LineScanner::Scan::Line:
+            line.assign(view);
             return ReadStatus::Line;
-        }
-        if (nl != std::string::npos || rdbuf.size() > max_len) {
+        case LineScanner::Scan::Overflow:
             // Framing overrun: discard the buffer (capping its
             // growth at max_len + one chunk) — the stream cannot
             // be resynchronized to line boundaries.
-            rdbuf.clear();
-            rdbuf.shrink_to_fit();
+            rdbuf.reset();
             return ReadStatus::TooLong;
+        case LineScanner::Scan::NeedMore:
+            break;
         }
 
         if (readTimeoutMs > 0) {
@@ -203,10 +202,9 @@ TcpStream::readLine(std::string &line, std::size_t max_len)
             if (r < 0)
                 return ReadStatus::Error;
         }
-        char chunk[4096];
-        ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+        ssize_t n = ::recv(fd_, rdbuf.writePtr(kChunk), kChunk, 0);
         if (n > 0) {
-            rdbuf.append(chunk, static_cast<std::size_t>(n));
+            rdbuf.commit(static_cast<std::size_t>(n));
             continue;
         }
         if (n < 0 && errno == EINTR)

@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 
+#include "service/line_scanner.hh"
 #include "util/expected.hh"
 
 namespace gpm
@@ -127,7 +128,7 @@ class TcpStream
     int fd_ = -1;
     int readTimeoutMs = 0;
     int writeTimeoutMs = 0;
-    std::string rdbuf;
+    LineScanner rdbuf;
 };
 
 } // namespace gpm

@@ -1,7 +1,5 @@
 /** @file Unit tests for profiles, cursors and the profile library. */
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
@@ -143,87 +141,6 @@ TEST(WorkloadProfile, AtChecksBounds)
     EXPECT_EQ(&p.at(modes::Turbo), &p.modes[0]);
 }
 
-TEST(ProfileLibrary, SaveLoadRoundTrip)
-{
-    auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_test.bin";
-    ProfileLibrary lib(dvfs, 0.002);
-    const WorkloadProfile &p = lib.get("mcf");
-    std::uint64_t insts = p.at(modes::Turbo).totalInsts();
-    lib.save(path);
-
-    ProfileLibrary lib2(dvfs, 0.002);
-    ASSERT_TRUE(lib2.load(path));
-    const WorkloadProfile &q = lib2.get("mcf");
-    EXPECT_EQ(q.at(modes::Turbo).totalInsts(), insts);
-    EXPECT_EQ(q.at(modes::Turbo).chunks.size(),
-              p.at(modes::Turbo).chunks.size());
-    EXPECT_NEAR(q.at(modes::Eff2).totalEnergyJ(),
-                p.at(modes::Eff2).totalEnergyJ(), 1e-12);
-    std::remove(path.c_str());
-}
-
-TEST(ProfileLibrary, LoadMergesWithoutInvalidatingReferences)
-{
-    // gpmd prewarms load() on a background thread while get()
-    // serves: a load must merge into the live table, never clear
-    // it — references handed out earlier stay valid.
-    auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_merge.bin";
-    ProfileLibrary lib(dvfs, 0.002);
-    lib.get("mcf");
-    lib.get("art");
-    lib.save(path);
-
-    ProfileLibrary lib2(dvfs, 0.002);
-    const WorkloadProfile *mcf = &lib2.get("mcf");
-    std::uint64_t insts = mcf->at(modes::Turbo).totalInsts();
-    ASSERT_TRUE(lib2.load(path));
-    // The pre-existing Ready slot survives the load by address...
-    EXPECT_EQ(mcf, &lib2.get("mcf"));
-    EXPECT_EQ(mcf->at(modes::Turbo).totalInsts(), insts);
-    // ...and only the file's other profile merged in from disk.
-    EXPECT_EQ(lib2.stats().diskHits, 1u);
-    lib2.get("art");
-    EXPECT_EQ(lib2.stats().builds, 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ProfileLibrary, LoadRejectsWrongScale)
-{
-    auto dvfs = DvfsTable::classic3();
-    std::string path =
-        ::testing::TempDir() + "/gpm_profiles_scale.bin";
-    ProfileLibrary lib(dvfs, 0.002);
-    lib.get("mcf");
-    lib.save(path);
-
-    ProfileLibrary other(dvfs, 0.004);
-    EXPECT_FALSE(other.load(path));
-    std::remove(path.c_str());
-}
-
-TEST(ProfileLibrary, LoadRejectsGarbage)
-{
-    std::string path = ::testing::TempDir() + "/gpm_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a profile file", f);
-    std::fclose(f);
-    auto dvfs = DvfsTable::classic3();
-    ProfileLibrary lib(dvfs, 1.0);
-    EXPECT_FALSE(lib.load(path));
-    std::remove(path.c_str());
-}
-
-TEST(ProfileLibrary, LoadMissingFileFails)
-{
-    auto dvfs = DvfsTable::classic3();
-    ProfileLibrary lib(dvfs, 1.0);
-    EXPECT_FALSE(lib.load("/nonexistent/path/profiles.bin"));
-}
-
 TEST(ProfileLibrary, GetIsStableAcrossGrowth)
 {
     auto dvfs = DvfsTable::classic3();
@@ -232,14 +149,6 @@ TEST(ProfileLibrary, GetIsStableAcrossGrowth)
     lib.get("art");
     lib.get("ammp");
     EXPECT_EQ(first, &lib.get("mcf"));
-}
-
-TEST(ProfileLibrary, FingerprintStable)
-{
-    auto dvfs = DvfsTable::classic3();
-    ProfileLibrary a(dvfs, 0.5), b(dvfs, 0.5), c(dvfs, 0.25);
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * serial baseline (mirroring test_sweep.cc's contract), the
  * content-addressed ProfileStore (round trip, fingerprint
  * addressing, corrupt/truncated-entry quarantine, fault injection),
- * incremental invalidation, and the legacy monolithic fallback.
+ * incremental invalidation, and reference stability while the suite
+ * loads from a warm store.
  */
 
 #include <cstdio>
@@ -75,6 +76,15 @@ class ProfileStoreTest : public ::testing::Test
     {
         Profiler profiler(dvfs);
         return profiler.profileWorkload(workload(name), kScale);
+    }
+
+    /** Delete @p w's entry for @p lib from the store directory. */
+    bool
+    dropEntry(const ProfileLibrary &lib, const WorkloadSpec &w)
+    {
+        ProfileStore probe(dir);
+        return ::unlink(probe.pathFor(w.name, lib.workloadFingerprint(w))
+                            .c_str()) == 0;
     }
 
     std::string dir;
@@ -248,15 +258,7 @@ TEST_F(ProfileStoreTest, InvalidatingOneEntryRebuildsOnlyIt)
     const WorkloadSpec &victim = spec2000Suite().front();
     ProfileLibrary lib(dvfs, kScale);
     lib.attachStore(dir);
-    {
-        ProfileStore probe(dir);
-        ASSERT_EQ(::unlink(probe
-                               .pathFor(victim.name,
-                                        lib.workloadFingerprint(
-                                            victim))
-                               .c_str()),
-                  0);
-    }
+    ASSERT_TRUE(dropEntry(lib, victim));
     lib.buildSuite(2);
     ProfileLibraryStats st = lib.stats();
     EXPECT_EQ(st.builds, 1u);
@@ -274,50 +276,39 @@ TEST_F(ProfileStoreTest, ScaleChangesWorkloadFingerprint)
               a.workloadFingerprint(spec2000Suite()[1]));
 }
 
-TEST_F(ProfileStoreTest, LegacyMonolithicFallbackStillLoads)
+TEST_F(ProfileStoreTest, WarmBuildSuiteKeepsEarlierReferences)
 {
-    std::string path = dir + "/legacy.bin";
+    // gpmd prewarms buildSuite() on a background thread while get()
+    // serves: loading the suite from the store must fill in the
+    // missing slots, never replace one a caller already holds.
+    {
+        ProfileLibrary lib(dvfs, kScale);
+        lib.attachStore(dir);
+        lib.buildSuite(2);
+    }
     ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.get("art");
-    lib.save(path);
-
-    // loadOrBuild takes the legacy read path: everything the file
-    // holds is served without a single detailed-core run.
-    ProfileLibrary lib2(dvfs, kScale);
-    lib2.loadOrBuild(path); // file is compatible -> no build
-    ProfileLibraryStats st = lib2.stats();
-    EXPECT_EQ(st.diskHits, 2u);
-    EXPECT_TRUE(identical(lib2.get("mcf"), lib.get("mcf")));
-    EXPECT_EQ(lib2.stats().builds, 0u);
+    lib.attachStore(dir);
+    const WorkloadSpec &held = spec2000Suite().front();
+    ASSERT_TRUE(dropEntry(lib, held));
+    const WorkloadProfile *ref = &lib.get(held.name);
+    std::uint64_t insts = ref->at(modes::Turbo).totalInsts();
+    lib.buildSuite(2);
+    // The earlier Ready slot survives by address and content...
+    EXPECT_EQ(ref, &lib.get(held.name));
+    EXPECT_EQ(ref->at(modes::Turbo).totalInsts(), insts);
+    // ...and every other profile came from disk.
+    ProfileLibraryStats st = lib.stats();
+    EXPECT_EQ(st.builds, 1u);
+    EXPECT_EQ(st.diskHits, spec2000Suite().size() - 1);
 }
 
-TEST_F(ProfileStoreTest, TruncatedMonolithicFallsBackToBuild)
+TEST_F(ProfileStoreTest, BuildSuiteLeavesNoTempFiles)
 {
-    std::string path = dir + "/legacy.bin";
+    // Store writes go temp + rename: after a build every entry is
+    // at its final path and no temp file is left behind.
     ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.save(path);
-
-    struct stat st;
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
-    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 8), 0);
-
-    ProfileLibrary lib2(dvfs, kScale);
-    EXPECT_FALSE(lib2.load(path));
-}
-
-TEST_F(ProfileStoreTest, SaveIsAtomic)
-{
-    // save() must never leave a partially written file at the
-    // target path; the temp is cleaned up on success.
-    std::string path = dir + "/atomic.bin";
-    ProfileLibrary lib(dvfs, kScale);
-    lib.get("mcf");
-    lib.save(path);
-    ProfileLibrary lib2(dvfs, kScale);
-    EXPECT_TRUE(lib2.load(path));
-    // No stray temp files in the directory.
+    lib.attachStore(dir);
+    lib.buildSuite(2);
     std::string cmd =
         "ls " + dir + " | grep -q '\\.tmp\\.' && exit 1 || exit 0";
     EXPECT_EQ(std::system(cmd.c_str()), 0);
