@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build (with GPM_WERROR=ON, so
-# library warnings fail the stage) + full test suite, a
+# library warnings fail the stage) + full test suite, a flag-table
+# smoke (every binary's generated --help; out-of-range and
+# non-numeric ports rejected before listening), a
 # policy-kernel smoke (many-core bench at 64 cores emitting
 # well-formed NDJSON; p99 latencies reported, not gated), a gpmd
 # end-to-end smoke (ephemeral port, gpmctl ping + submit + cluster
@@ -745,10 +747,39 @@ gpmd_shard_smoke() {
     rm -f "$log1" "$log2" "$rlog"
 }
 
+# Flag-table smoke: each binary's --help is rendered from its flag
+# table (exit 0, mentions --port), and an out-of-range or
+# non-numeric port is fatal before anything listens.
+cli_flag_smoke() {
+    local bdir=$1 bin out rc
+    for bin in src/service/gpmd src/router/gpm-router \
+        src/service/gpmctl; do
+        out=$("$bdir/$bin" --help 2>&1) ||
+            { echo "$bin --help failed:"; echo "$out"; return 1; }
+        grep -q -- '--port' <<<"$out" ||
+            { echo "$bin --help does not mention --port"; return 1; }
+    done
+    rc=0
+    out=$(timeout 30 "$bdir/src/service/gpmd" --port 70000 2>&1) ||
+        rc=$?
+    { [ "$rc" -ne 0 ] && ! grep -q 'listening on' <<<"$out"; } ||
+        { echo "gpmd --port 70000 was not rejected:"; echo "$out"
+          return 1; }
+    rc=0
+    out=$(timeout 30 "$bdir/src/router/gpm-router" \
+        --backends 127.0.0.1:1 --port abc 2>&1) || rc=$?
+    { [ "$rc" -ne 0 ] && ! grep -q 'listening on' <<<"$out"; } ||
+        { echo "gpm-router --port abc was not rejected:"; echo "$out"
+          return 1; }
+}
+
 echo "== tier-1: standard build + ctest =="
 cmake -B "$BUILD" -S . -DGPM_WERROR=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
+
+echo "== tier-1: flag-table smoke (--help / bad values) =="
+cli_flag_smoke "$BUILD"
 
 echo "== tier-1: policy-kernel smoke (many-core bench NDJSON) =="
 policy_kernel_smoke "$BUILD"
@@ -789,6 +820,9 @@ cmake --build "$BUILD-tsan" -j --target gpm_tests gpmd gpmctl gpm-router
 # small-scale profiles on first use, so give them a large timeout.
 "$BUILD-tsan/tests/gpm_tests" \
     --gtest_filter='ThreadPool.*:SweepTest.*:ProfileStoreTest.*'
+
+echo "== tier-1: flag-table smoke under TSan =="
+cli_flag_smoke "$BUILD-tsan"
 
 echo "== tier-1: gpmd smoke under TSan =="
 gpmd_smoke "$BUILD-tsan"

@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "service/prom.hh"
-#include "service/scenario.hh"
 #include "util/logging.hh"
 
 namespace gpm
@@ -165,81 +164,17 @@ writeAllFd(int fd, std::string_view data)
     return true;
 }
 
-// ---------------------------------------------------------------
-// Response-line builders (mirror server.cc's wire shapes)
-// ---------------------------------------------------------------
-
+/** One scenario's error line: the client id spliced in as JSON
+ *  text, plus "index" and "hash" when it answers a batch entry. */
 std::string
-errorResponse(const Value &id, const std::string &code,
-              const std::string &message,
-              double retryAfterMs = 0.0)
+itemErrorLine(const std::string &idDump, bool batch,
+              const RouterItem &it, const std::string &errDump)
 {
-    Value root = Value::object();
-    root.set("id", id);
-    root.set("ok", false);
-    Value err = Value::object();
-    err.set("code", code);
-    err.set("message", message);
-    if (retryAfterMs > 0.0)
-        err.set("retryAfterMs", retryAfterMs);
-    root.set("error", std::move(err));
-    return root.dump();
-}
-
-std::string
-okResponse(const Value &id, Value result)
-{
-    Value root = Value::object();
-    root.set("id", id);
-    root.set("ok", true);
-    root.set("result", std::move(result));
-    return root.dump();
-}
-
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-/** The serialized "error" object of a retryable shed. */
-std::string
-busyErrorDump(const std::string &message, double retryAfterMs)
-{
-    Value err = Value::object();
-    err.set("code", "busy");
-    err.set("message", message);
-    if (retryAfterMs > 0.0)
-        err.set("retryAfterMs", retryAfterMs);
-    return err.dump();
-}
-
-std::string
-httpResponse(int code, const char *status, const char *ctype,
-             std::string body)
-{
-    std::string r = "HTTP/1.0 ";
-    r += std::to_string(code);
-    r += ' ';
-    r += status;
-    r += "\r\nContent-Type: ";
-    r += ctype;
-    r += "\r\nContent-Length: ";
-    r += std::to_string(body.size());
-    r += "\r\nConnection: close\r\n\r\n";
-    r += body;
-    return r;
-}
-
-void
-sendLine(const std::shared_ptr<ReactorConn> &conn,
-         std::string line)
-{
-    line.push_back('\n');
-    conn->send(std::move(line));
+    std::string out = "{\"id\":" + idDump + ",\"ok\":false";
+    if (batch)
+        out += ",\"index\":" + std::to_string(it.origIndex) +
+               ",\"hash\":\"" + hashHex(it.hash) + "\"";
+    return out + ",\"error\":" + errDump + "}";
 }
 
 } // namespace
@@ -262,9 +197,10 @@ endpointNames(const std::vector<RouterEndpoint> &eps)
 } // namespace
 
 GpmRouter::GpmRouter(std::vector<RouterEndpoint> endpoints,
-                     TcpListener listener_, RouterOptions opts_)
-    : ring(endpointNames(endpoints)),
-      listener(std::move(listener_)), opts(opts_),
+                     TcpListener listener_, RouterOptions opts_,
+                     ReactorOptions transport_)
+    : NdjsonFrontend(std::move(listener_), transport_),
+      ring(endpointNames(endpoints)), opts(opts_),
       startTime(std::chrono::steady_clock::now())
 {
     if (endpoints.empty())
@@ -280,15 +216,6 @@ GpmRouter::GpmRouter(std::vector<RouterEndpoint> endpoints,
             ep, bo, opts.backendConns));
     }
 
-    ReactorOptions ropts;
-    ropts.threads = opts.reactorThreads;
-    ropts.idleTimeoutMs = opts.idleTimeoutMs;
-    ropts.writeTimeoutMs = opts.writeTimeoutMs;
-    ropts.maxLineBytes = opts.maxLineBytes;
-    ReactorHandler &handler = *this;
-    pool = std::make_unique<ReactorPool>(handler, ropts);
-    pool->serveListener(listener.fd());
-
     for (std::size_t b = 0; b < backends.size(); b++)
         for (std::size_t c = 0; c < backends[b]->channels.size();
              c++)
@@ -300,44 +227,8 @@ GpmRouter::GpmRouter(std::vector<RouterEndpoint> endpoints,
 GpmRouter::~GpmRouter() { stopAndDrain(); }
 
 void
-GpmRouter::attachMetricsListener(TcpListener l)
+GpmRouter::drainWork()
 {
-    metricsListener = std::move(l);
-    pool->serveHttpListener(metricsListener.fd());
-}
-
-void
-GpmRouter::run()
-{
-    pool->start();
-    std::unique_lock<std::mutex> lock(stopMtx);
-    stopCv.wait(lock, [&] { return acceptClosed; });
-}
-
-void
-GpmRouter::requestStop()
-{
-    listener.shutdownListener();
-}
-
-void
-GpmRouter::onAcceptDone()
-{
-    std::lock_guard<std::mutex> lock(stopMtx);
-    acceptClosed = true;
-    stopCv.notify_all();
-}
-
-void
-GpmRouter::stopAndDrain()
-{
-    requestStop();
-    {
-        std::lock_guard<std::mutex> lock(stopMtx);
-        if (drained)
-            return;
-        drained = true;
-    }
     // Let in-flight scenarios complete: backends are still being
     // read, responses still flow to clients. Bounded so a wedged
     // backend cannot stall shutdown forever.
@@ -373,9 +264,6 @@ GpmRouter::stopAndDrain()
                 ch->fd = -1;
             }
         }
-    pool->shutdownAndJoin();
-    listener.close();
-    metricsListener.close();
 }
 
 void
@@ -421,21 +309,12 @@ GpmRouter::shedItems(const std::shared_ptr<ReactorConn> &conn,
                      const std::vector<RouterItem> &items)
 {
     shedNoBackend += items.size();
-    std::string errDump = busyErrorDump(
-        "no live backend replica", opts.breaker.cooldownMs);
+    std::string errDump =
+        errorObject("busy", "no live backend replica",
+                    opts.breaker.cooldownMs)
+            .dump();
     for (const auto &it : items) {
-        std::string out;
-        if (batch) {
-            out = "{\"id\":" + idDump +
-                  ",\"ok\":false,\"index\":" +
-                  std::to_string(it.origIndex) + ",\"hash\":\"" +
-                  hashHex(it.hash) + "\",\"error\":" + errDump +
-                  "}";
-        } else {
-            out = "{\"id\":" + idDump +
-                  ",\"ok\":false,\"error\":" + errDump + "}";
-        }
-        sendLine(conn, std::move(out));
+        sendLine(conn, itemErrorLine(idDump, batch, it, errDump));
         conn->decPending();
         oneAnswered();
     }
@@ -794,23 +673,15 @@ GpmRouter::emitShardError(const std::shared_ptr<Pending> &p,
                 retryAfterMs = r->asNumber();
         }
     }
-    Value err = Value::object();
-    err.set("code", code);
-    err.set("message", message);
-    if (retryAfterMs > 0.0)
-        err.set("retryAfterMs", retryAfterMs);
-    std::string errDump = err.dump();
+    std::string errDump =
+        errorObject(code, message, retryAfterMs).dump();
 
     std::size_t n = 0;
     for (const auto &it : p->items) {
         if (it.done)
             continue;
-        std::string out = "{\"id\":" + p->idDump +
-                          ",\"ok\":false,\"index\":" +
-                          std::to_string(it.origIndex) +
-                          ",\"hash\":\"" + hashHex(it.hash) +
-                          "\",\"error\":" + errDump + "}";
-        sendLine(p->conn, std::move(out));
+        sendLine(p->conn,
+                 itemErrorLine(p->idDump, true, it, errDump));
         p->conn->decPending();
         n++;
     }
@@ -855,7 +726,7 @@ GpmRouter::readerLoop(std::size_t bIdx, std::size_t cIdx)
             std::string_view line;
             for (;;) {
                 auto st =
-                    scanner.next(line, opts.maxLineBytes);
+                    scanner.next(line, transport.maxLineBytes);
                 if (st == LineScanner::Scan::Line) {
                     onBackendLine(bIdx, line);
                 } else if (st == LineScanner::Scan::NeedMore) {
@@ -998,88 +869,38 @@ GpmRouter::probeBackend(Backend &b)
 // ---------------------------------------------------------------
 
 std::string
-GpmRouter::onLineTooLong()
+GpmRouter::metricsBody()
 {
-    std::string line = errorResponse(
-        Value(nullptr), "line_too_long",
-        "request line exceeds " +
-            std::to_string(opts.maxLineBytes) + " bytes");
-    line.push_back('\n');
-    return line;
-}
-
-std::string
-GpmRouter::onHttpRequest(std::string_view method,
-                         std::string_view path)
-{
-    if (method != "GET")
-        return httpResponse(405, "Method Not Allowed",
-                            "text/plain; charset=utf-8",
-                            "method not allowed\n");
-    if (path == "/healthz")
-        return httpResponse(200, "OK",
-                            "text/plain; charset=utf-8", "ok\n");
-    if (path == "/metrics")
-        return httpResponse(
-            200, "OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            renderRouterPrometheus(stats(), pool->stats()));
-    return httpResponse(404, "Not Found",
-                        "text/plain; charset=utf-8",
-                        "not found\n");
+    return renderRouterPrometheus(stats(), pool->stats());
 }
 
 void
-GpmRouter::handleSubmit(const std::shared_ptr<ReactorConn> &conn,
-                        const std::string &idDump,
-                        const json::Value &scenario)
+GpmRouter::submit(const std::shared_ptr<ReactorConn> &conn,
+                  const Value &id, const Value &scenario,
+                  ScenarioSpec spec)
 {
-    auto spec = parseScenario(scenario);
-    auto origId = json::parse(idDump);
-    if (!spec.ok()) {
-        sendLine(conn, errorResponse(origId.value(), "invalid",
-                                     spec.error()));
-        return;
-    }
     routedSubmits++;
     routedScenarios++;
     std::vector<RouterItem> items(1);
     items[0].scenario = scenario.dump();
-    items[0].hash = spec.value().hash();
+    items[0].hash = spec.hash();
     conn->addPending(1);
     unanswered++;
-    dispatchItems(conn, idDump, /*batch=*/false,
+    dispatchItems(conn, id.dump(), /*batch=*/false,
                   std::move(items), 0, RendezvousRing::npos);
 }
 
 void
-GpmRouter::handleBatch(const std::shared_ptr<ReactorConn> &conn,
-                       const std::string &idDump,
-                       const json::Value &scenarios)
+GpmRouter::submitBatch(const std::shared_ptr<ReactorConn> &conn,
+                       const Value &id, const Value::Array &scenarios,
+                       std::vector<ScenarioSpec> specs)
 {
-    auto origId = json::parse(idDump);
-    const Value::Array &arr = scenarios.asArray();
-    if (arr.empty()) {
-        sendLine(conn,
-                 errorResponse(origId.value(), "invalid",
-                               "'scenarios' must not be empty"));
-        return;
-    }
     std::vector<RouterItem> items;
-    items.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); i++) {
-        auto spec = parseScenario(arr[i]);
-        if (!spec.ok()) {
-            sendLine(conn,
-                     errorResponse(origId.value(), "invalid",
-                                   "scenario " +
-                                       std::to_string(i) + ": " +
-                                       spec.error()));
-            return;
-        }
+    items.reserve(scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); i++) {
         RouterItem it;
-        it.scenario = arr[i].dump();
-        it.hash = spec.value().hash();
+        it.scenario = scenarios[i].dump();
+        it.hash = specs[i].hash();
         it.origIndex = i;
         items.push_back(std::move(it));
     }
@@ -1091,148 +912,52 @@ GpmRouter::handleBatch(const std::shared_ptr<ReactorConn> &conn,
         any = any || m;
     if (!any) {
         shedNoBackend += items.size();
-        sendLine(conn, errorResponse(
-                           origId.value(), "busy",
-                           "no live backend replica",
-                           opts.breaker.cooldownMs));
+        sendLine(conn, errorResponse(id, "busy",
+                                     "no live backend replica",
+                                     opts.breaker.cooldownMs));
         return;
     }
     routedBatches++;
     routedScenarios += items.size();
     conn->addPending(items.size());
     unanswered += items.size();
-    dispatchItems(conn, idDump, /*batch=*/true, std::move(items),
+    dispatchItems(conn, id.dump(), /*batch=*/true, std::move(items),
                   0, RendezvousRing::npos);
 }
 
-void
-GpmRouter::onLine(const std::shared_ptr<ReactorConn> &conn,
-                  std::string_view line)
+Value
+GpmRouter::statsResult()
 {
-    requests++;
-    Value id(nullptr);
-
-    auto parsed = json::parse(line);
-    if (!parsed.ok()) {
-        sendLine(conn,
-                 errorResponse(id, "parse",
-                               parsed.error().message +
-                                   " at offset " +
-                                   std::to_string(
-                                       parsed.error().offset)));
-        return;
+    RouterStats s = stats();
+    Value result = Value::object();
+    result.set("uptimeSec", s.uptimeSec);
+    result.set("requests", s.requests);
+    result.set("connections", s.connections);
+    result.set("backendsTotal", s.backendsTotal);
+    result.set("backendsLive", s.backendsLive);
+    result.set("inflight", s.inflight);
+    result.set("routedSubmits", s.routedSubmits);
+    result.set("routedBatches", s.routedBatches);
+    result.set("routedScenarios", s.routedScenarios);
+    result.set("rerouted", s.rerouted);
+    result.set("shedNoBackend", s.shedNoBackend);
+    result.set("spliceFallbacks", s.spliceFallbacks);
+    result.set("backendFailures", s.backendFailures);
+    result.set("probes", s.probes);
+    Value arr = Value::array();
+    for (const auto &bs : s.backends) {
+        Value o = Value::object();
+        o.set("name", bs.name);
+        o.set("state", bs.breakerState);
+        o.set("opens", bs.breakerOpens);
+        o.set("routed", bs.routed);
+        o.set("rehashes", bs.rehashes);
+        o.set("inflight", bs.inflight);
+        o.set("live", bs.live);
+        arr.push(std::move(o));
     }
-    const Value &req = parsed.value();
-    if (!req.isObject()) {
-        sendLine(conn,
-                 errorResponse(id, "parse",
-                               "request must be a JSON object"));
-        return;
-    }
-    if (const Value *rid = req.find("id")) {
-        if (!rid->isScalar()) {
-            sendLine(conn, errorResponse(id, "invalid",
-                                         "id must be a scalar"));
-            return;
-        }
-        id = *rid;
-    }
-    for (const auto &[key, val] : req.asObject()) {
-        (void)val;
-        if (key != "id" && key != "verb" && key != "scenario" &&
-            key != "scenarios") {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "unknown request field '" +
-                                       key + "'"));
-            return;
-        }
-    }
-    const Value *verb = req.find("verb");
-    if (!verb || !verb->isString()) {
-        sendLine(conn,
-                 errorResponse(id, "invalid",
-                               "missing or non-string 'verb'"));
-        return;
-    }
-    const std::string &v = verb->asString();
-
-    if (v == "ping") {
-        Value result = Value::object();
-        result.set("pong", true);
-        sendLine(conn, okResponse(id, std::move(result)));
-        return;
-    }
-
-    if (v == "stats") {
-        RouterStats s = stats();
-        Value result = Value::object();
-        result.set("uptimeSec", s.uptimeSec);
-        result.set("requests", s.requests);
-        result.set("connections", s.connections);
-        result.set("backendsTotal", s.backendsTotal);
-        result.set("backendsLive", s.backendsLive);
-        result.set("inflight", s.inflight);
-        result.set("routedSubmits", s.routedSubmits);
-        result.set("routedBatches", s.routedBatches);
-        result.set("routedScenarios", s.routedScenarios);
-        result.set("rerouted", s.rerouted);
-        result.set("shedNoBackend", s.shedNoBackend);
-        result.set("spliceFallbacks", s.spliceFallbacks);
-        result.set("backendFailures", s.backendFailures);
-        result.set("probes", s.probes);
-        Value arr = Value::array();
-        for (const auto &bs : s.backends) {
-            Value o = Value::object();
-            o.set("name", bs.name);
-            o.set("state", bs.breakerState);
-            o.set("opens", bs.breakerOpens);
-            o.set("routed", bs.routed);
-            o.set("rehashes", bs.rehashes);
-            o.set("inflight", bs.inflight);
-            o.set("live", bs.live);
-            arr.push(std::move(o));
-        }
-        result.set("backends", std::move(arr));
-        sendLine(conn, okResponse(id, std::move(result)));
-        return;
-    }
-
-    if (v == "submit") {
-        const Value *scenario = req.find("scenario");
-        if (!scenario) {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "submit needs a 'scenario'"));
-            return;
-        }
-        handleSubmit(conn, id.dump(), *scenario);
-        return;
-    }
-
-    if (v == "submit_batch") {
-        const Value *scenarios = req.find("scenarios");
-        if (!scenarios || !scenarios->isArray()) {
-            sendLine(conn,
-                     errorResponse(
-                         id, "invalid",
-                         "submit_batch needs a 'scenarios' array"));
-            return;
-        }
-        handleBatch(conn, id.dump(), *scenarios);
-        return;
-    }
-
-    if (v == "shutdown") {
-        Value result = Value::object();
-        result.set("stopping", true);
-        sendLine(conn, okResponse(id, std::move(result)));
-        requestStop();
-        return;
-    }
-
-    sendLine(conn, errorResponse(id, "invalid",
-                                 "unknown verb '" + v + "'"));
+    result.set("backends", std::move(arr));
+    return result;
 }
 
 // ---------------------------------------------------------------

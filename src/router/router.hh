@@ -48,6 +48,12 @@
  * per-backend array; attachMetricsListener() serves aggregated
  * Prometheus metrics (gpm_router_* series with per-backend labels)
  * and /healthz on the same reactor.
+ *
+ * The client side — request envelope, ping / shutdown, scenario
+ * validation, the HTTP surface and the listener lifecycle — is
+ * NdjsonFrontend (service/frontend.hh), the same code gpmd runs,
+ * so both daemons answer everything but stats and scenario results
+ * with identical bytes.
  */
 
 #ifndef GPM_ROUTER_ROUTER_HH
@@ -65,9 +71,7 @@
 #include <vector>
 
 #include "router/ring.hh"
-#include "service/json.hh"
-#include "service/net.hh"
-#include "service/reactor.hh"
+#include "service/frontend.hh"
 #include "util/breaker.hh"
 
 namespace gpm
@@ -85,26 +89,12 @@ struct RouterItem
 };
 
 /** One gpmd backend address. */
-struct RouterEndpoint
-{
-    std::string host;
-    std::uint16_t port = 0;
+using RouterEndpoint = Endpoint;
 
-    std::string name() const
-    {
-        return host + ":" + std::to_string(port);
-    }
-};
-
-/** GpmRouter tuning knobs. */
+/** GpmRouter backend-side tuning knobs (the client side is the
+ *  front end's ReactorOptions). */
 struct RouterOptions
 {
-    /** Client-side transport (same semantics as ServerOptions). */
-    int idleTimeoutMs = 60000;
-    int writeTimeoutMs = 30000;
-    std::size_t maxLineBytes = 1 << 20;
-    std::size_t reactorThreads = 1;
-
     /** Pooled connections per backend. */
     std::size_t backendConns = 2;
     /** Backend connect() timeout. */
@@ -172,46 +162,16 @@ struct RouterStats
 std::string renderRouterPrometheus(const RouterStats &s,
                                    const ReactorStats &r);
 
-class GpmRouter : private ReactorHandler
+class GpmRouter : public NdjsonFrontend
 {
   public:
     GpmRouter(std::vector<RouterEndpoint> endpoints,
               TcpListener listener,
-              RouterOptions opts = RouterOptions{});
+              RouterOptions opts = RouterOptions{},
+              ReactorOptions transport = ReactorOptions{});
 
     /** stopAndDrain() if the owner did not. */
     ~GpmRouter() override;
-
-    GpmRouter(const GpmRouter &) = delete;
-    GpmRouter &operator=(const GpmRouter &) = delete;
-
-    std::uint16_t port() const { return listener.port(); }
-    int listenerFd() const { return listener.fd(); }
-
-    /** Serve GET /metrics and /healthz on @p l (same reactor).
-     *  Call before run(). */
-    void attachMetricsListener(TcpListener l);
-    std::uint16_t metricsPort() const
-    {
-        return metricsListener.valid() ? metricsListener.port()
-                                       : 0;
-    }
-
-    /** Serve; blocks until requestStop(). */
-    void run();
-
-    /** Unblock run(). Safe from signal handlers and other
-     *  threads. */
-    void requestStop();
-
-    /**
-     * Graceful teardown: stop accepting, wait (bounded) for every
-     * accepted scenario to be answered, stop the probers and
-     * backend readers, flush and close client connections, join
-     * the reactors. Backends are left running — `shutdown` through
-     * the router stops the router only. Idempotent.
-     */
-    void stopAndDrain();
 
     RouterStats stats() const;
 
@@ -220,20 +180,22 @@ class GpmRouter : private ReactorHandler
     struct Channel;
     struct Backend;
 
-    // ---- ReactorHandler ----
-    void onLine(const std::shared_ptr<ReactorConn> &conn,
-                std::string_view line) override;
-    std::string onLineTooLong() override;
-    std::string onHttpRequest(std::string_view method,
-                              std::string_view path) override;
-    void onAcceptDone() override;
-
-    void handleSubmit(const std::shared_ptr<ReactorConn> &conn,
-                      const std::string &idDump,
-                      const json::Value &scenario);
-    void handleBatch(const std::shared_ptr<ReactorConn> &conn,
-                     const std::string &idDump,
-                     const json::Value &scenarios);
+    json::Value statsResult() override;
+    void submit(const std::shared_ptr<ReactorConn> &conn,
+                const json::Value &id, const json::Value &scenario,
+                ScenarioSpec spec) override;
+    void submitBatch(const std::shared_ptr<ReactorConn> &conn,
+                     const json::Value &id,
+                     const json::Value::Array &scenarios,
+                     std::vector<ScenarioSpec> specs) override;
+    std::string metricsBody() override;
+    /**
+     * Wait (bounded) for every accepted scenario to be answered,
+     * then stop the probers and backend readers. Backends are left
+     * running — `shutdown` through the router stops the router
+     * only.
+     */
+    void drainWork() override;
 
     /** Eligible-backend mask: breaker closed, or (when none is)
      *  half-open. All-false when the whole fleet is down. */
@@ -280,15 +242,7 @@ class GpmRouter : private ReactorHandler
 
     std::vector<std::unique_ptr<Backend>> backends;
     RendezvousRing ring;
-    TcpListener listener;
-    TcpListener metricsListener;
     RouterOptions opts;
-    std::unique_ptr<ReactorPool> pool;
-
-    std::mutex stopMtx;
-    std::condition_variable stopCv;
-    bool acceptClosed = false;
-    bool drained = false;
 
     std::atomic<bool> stopping{false};
     std::thread prober;
@@ -301,7 +255,6 @@ class GpmRouter : private ReactorHandler
     std::condition_variable drainCv;
 
     std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> routedSubmits{0};
     std::atomic<std::uint64_t> routedBatches{0};
     std::atomic<std::uint64_t> routedScenarios{0};

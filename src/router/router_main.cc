@@ -9,189 +9,60 @@
  * the process exits 0.
  */
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <sys/socket.h>
+#include <limits>
 #include <vector>
 
 #include "router/router.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace
 {
 
-volatile std::sig_atomic_t g_stop = 0;
-int g_listen_fd = -1;
-
-void
-onSignal(int)
-{
-    g_stop = 1;
-    if (g_listen_fd >= 0)
-        ::shutdown(g_listen_fd, SHUT_RDWR);
-}
-
 struct RouterConfig
 {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 7420;
-    std::uint16_t metricsPort = 0;
-    bool metricsPortSet = false;
-    int listenBacklog = 1024;
+    gpm::DaemonTransport transport;
     std::vector<gpm::RouterEndpoint> backends;
     gpm::RouterOptions opts;
 };
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --backends HOST:PORT[,HOST:PORT...] [options]\n"
-        "  --backends LIST    gpmd backends to shard across "
-        "(required)\n"
-        "  --host ADDR        bind address (default 127.0.0.1)\n"
-        "  --port N           TCP port; 0 = ephemeral (default "
-        "7420)\n"
-        "  --metrics-port N   serve GET /metrics and /healthz on\n"
-        "                     this port; 0 = ephemeral (default:\n"
-        "                     no metrics listener)\n"
-        "  --reactor-threads N  epoll event loops for client\n"
-        "                     sockets (default 1)\n"
-        "  --backend-conns N  pooled connections per backend\n"
-        "                     (default 2)\n"
-        "  --listen-backlog N listen(2) backlog (default 1024)\n"
-        "  --idle-timeout-ms N  reap idle client connections;\n"
-        "                     0 = never (default 60000)\n"
-        "  --write-timeout-ms N  per-write progress timeout;\n"
-        "                     0 = none (default 30000)\n"
-        "  --max-line-bytes N cap on a request line (default "
-        "1 MiB)\n"
-        "  --connect-timeout-ms N  backend connect() bound\n"
-        "                     (default 1000)\n"
-        "  --probe-interval-ms N  health-probe sweep period\n"
-        "                     (default 50)\n"
-        "  --probe-timeout-ms N  health-probe connect/read bound\n"
-        "                     (default 1000)\n"
-        "  --max-reroutes N   dispatch attempts per request before\n"
-        "                     a retryable busy (default 8)\n"
-        "  --breaker-window N backend breaker failure window\n"
-        "                     (default 16)\n"
-        "  --breaker-min-samples N  samples required before a\n"
-        "                     breaker may open (default 8)\n"
-        "  --breaker-threshold F  failure rate opening a backend\n"
-        "                     breaker (default 0.5)\n"
-        "  --breaker-cooldown-ms N  breaker open->half-open\n"
-        "                     cooldown (default 250)\n",
-        argv0);
-}
-
-std::vector<gpm::RouterEndpoint>
-parseBackends(const std::string &list)
-{
-    std::vector<gpm::RouterEndpoint> eps;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        std::size_t comma = list.find(',', pos);
-        std::string tok = list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (!tok.empty()) {
-            std::size_t colon = tok.rfind(':');
-            if (colon == std::string::npos || colon == 0 ||
-                colon + 1 >= tok.size())
-                gpm::fatal("gpm-router: backend '%s' is not "
-                           "HOST:PORT",
-                           tok.c_str());
-            int port = std::atoi(tok.c_str() + colon + 1);
-            if (port <= 0 || port > 65535)
-                gpm::fatal("gpm-router: backend '%s' has a bad "
-                           "port",
-                           tok.c_str());
-            eps.push_back({tok.substr(0, colon),
-                           static_cast<std::uint16_t>(port)});
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return eps;
-}
 
 RouterConfig
 parseArgs(int argc, char **argv)
 {
     RouterConfig cfg;
-    auto need = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            gpm::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; i++) {
-        std::string a = argv[i];
-        if (a == "--backends")
-            cfg.backends = parseBackends(need(i)), i++;
-        else if (a == "--host")
-            cfg.host = need(i), i++;
-        else if (a == "--port")
-            cfg.port =
-                static_cast<std::uint16_t>(std::atoi(need(i))), i++;
-        else if (a == "--metrics-port") {
-            cfg.metricsPort =
-                static_cast<std::uint16_t>(std::atoi(need(i)));
-            cfg.metricsPortSet = true;
-            i++;
-        } else if (a == "--reactor-threads") {
-            long v = std::atol(need(i));
-            cfg.opts.reactorThreads =
-                v > 0 ? static_cast<std::size_t>(v) : 1;
-            i++;
-        } else if (a == "--backend-conns") {
-            long v = std::atol(need(i));
-            cfg.opts.backendConns =
-                v > 0 ? static_cast<std::size_t>(v) : 1;
-            i++;
-        } else if (a == "--listen-backlog") {
-            int v = std::atoi(need(i));
-            cfg.listenBacklog = v > 0 ? v : 1024;
-            i++;
-        } else if (a == "--idle-timeout-ms")
-            cfg.opts.idleTimeoutMs = std::atoi(need(i)), i++;
-        else if (a == "--write-timeout-ms")
-            cfg.opts.writeTimeoutMs = std::atoi(need(i)), i++;
-        else if (a == "--max-line-bytes")
-            cfg.opts.maxLineBytes =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--connect-timeout-ms")
-            cfg.opts.backendConnectTimeoutMs = std::atoi(need(i)),
-            i++;
-        else if (a == "--probe-interval-ms")
-            cfg.opts.probeIntervalMs = std::atoi(need(i)), i++;
-        else if (a == "--probe-timeout-ms")
-            cfg.opts.probeTimeoutMs = std::atoi(need(i)), i++;
-        else if (a == "--max-reroutes")
-            cfg.opts.maxReroutes = std::atoi(need(i)), i++;
-        else if (a == "--breaker-window")
-            cfg.opts.breaker.window =
-                static_cast<std::size_t>(std::atol(need(i))),
-            i++;
-        else if (a == "--breaker-min-samples")
-            cfg.opts.breaker.minSamples =
-                static_cast<std::size_t>(std::atol(need(i))),
-            i++;
-        else if (a == "--breaker-threshold")
-            cfg.opts.breaker.failureThreshold = std::atof(need(i)),
-            i++;
-        else if (a == "--breaker-cooldown-ms")
-            cfg.opts.breaker.cooldownMs = std::atof(need(i)), i++;
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else
-            gpm::fatal("unknown option '%s' (try --help)",
-                       a.c_str());
-    }
+    cfg.transport.port = 7420;
+    gpm::RouterOptions &o = cfg.opts;
+    constexpr int kMaxMs = std::numeric_limits<int>::max();
+
+    gpm::FlagSet flags("gpm-router",
+                       "usage: gpm-router --backends "
+                       "HOST:PORT[,HOST:PORT...] [options]");
+    flags.addCustom("--backends", "LIST",
+                    "gpmd backends to shard across (required)",
+                    [&](const std::string &v) {
+                        auto eps = gpm::parseEndpoints(v, std::nullopt);
+                        if (!eps.ok())
+                            return eps.error();
+                        cfg.backends = std::move(eps.value());
+                        return std::string();
+                    });
+    gpm::addTransportFlags(flags, cfg.transport);
+    flags.add("--backend-conns", &o.backendConns, std::size_t{1},
+              std::size_t{64}, "pooled connections per backend");
+    flags.add("--connect-timeout-ms", &o.backendConnectTimeoutMs, 0,
+              kMaxMs, "backend connect() bound");
+    flags.add("--probe-interval-ms", &o.probeIntervalMs, 0, kMaxMs,
+              "health-probe sweep period");
+    flags.add("--probe-timeout-ms", &o.probeTimeoutMs, 0, kMaxMs,
+              "health-probe connect/read bound");
+    flags.add("--max-reroutes", &o.maxReroutes, 0, 1000,
+              "dispatch attempts per request before a retryable busy");
+    gpm::addBreakerFlags(flags, o.breaker, "backend");
+    flags.add("--breaker-min-samples", &o.breaker.minSamples,
+              std::size_t{0}, std::size_t{1} << 20,
+              "samples required before a breaker may open");
+    flags.parse(argc, argv);
     if (cfg.backends.empty())
         gpm::fatal("gpm-router: --backends is required (try "
                    "--help)");
@@ -205,42 +76,11 @@ main(int argc, char **argv)
 {
     RouterConfig cfg = parseArgs(argc, argv);
 
-    auto listener = gpm::TcpListener::listenOn(
-        cfg.host, cfg.port, cfg.listenBacklog);
-    if (!listener.ok())
-        gpm::fatal("gpm-router: %s", listener.error().c_str());
-
     gpm::GpmRouter router(cfg.backends,
-                          std::move(listener.value()), cfg.opts);
-    if (cfg.metricsPortSet) {
-        auto mlistener = gpm::TcpListener::listenOn(
-            cfg.host, cfg.metricsPort, 64);
-        if (!mlistener.ok())
-            gpm::fatal("gpm-router: metrics listener: %s",
-                       mlistener.error().c_str());
-        router.attachMetricsListener(
-            std::move(mlistener.value()));
-    }
-    g_listen_fd = router.listenerFd();
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
+                          gpm::listenOrDie("gpm-router", cfg.transport),
+                          cfg.opts, cfg.transport.client);
     std::printf("gpm-router: %zu backends\n", cfg.backends.size());
-    std::printf("gpm-router: listening on %s:%u\n",
-                cfg.host.c_str(),
-                static_cast<unsigned>(router.port()));
-    if (router.metricsPort() != 0)
-        std::printf("gpm-router: metrics on %s:%u\n",
-                    cfg.host.c_str(),
-                    static_cast<unsigned>(router.metricsPort()));
-    std::fflush(stdout);
-
-    router.run();
-
-    std::printf("gpm-router: draining\n");
-    std::fflush(stdout);
-    router.stopAndDrain();
+    gpm::serveUntilStopped("gpm-router", router, cfg.transport);
     std::printf("gpm-router: shutdown complete\n");
     return 0;
 }

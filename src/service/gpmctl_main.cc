@@ -2,21 +2,15 @@
  * @file
  * gpmctl — command-line client for gpmd.
  *
- *   gpmctl [--host H] [--port P] [retry options] ping
- *   gpmctl [--host H] [--port P] [retry options] stats
- *   gpmctl [--host H] [--port P] [retry options] shutdown
- *   gpmctl [--host H] [--port P] [retry options] submit \
- *       --combo mcf,crafty [or --combo-key 2way1] \
- *       --policy MaxBIPS \
- *       --budget 0.8 [or --budgets 0.7,0.85,1.0] \
- *       [--static-fit peak|average] [--explore-us X] \
- *       [--delta-us X] [--contention] [--sensor-noise X] \
- *       [--deadline-ms X]
- *   gpmctl submit --cluster-chip COMBO:POLICY[:COUNT] \
- *       [--cluster-chip ...] --policy MaxBIPS-DP --budget 0.75 \
- *       [--epochs N] [--epoch-us X] [--levels K]
- *   gpmctl submit --json '<scenario object>'
- *   gpmctl submit-batch @FILE.ndjson
+ *   gpmctl [options] ping | stats | shutdown
+ *   gpmctl [options] submit --combo mcf,crafty --policy MaxBIPS \
+ *       --budget 0.8
+ *   gpmctl [options] submit --cluster-chip COMBO:POLICY[:COUNT] \
+ *       [--cluster-chip ...] --policy MaxBIPS-DP --budget 0.75
+ *   gpmctl [options] submit --json '<scenario object>'
+ *   gpmctl [options] submit-batch @FILE.ndjson
+ *
+ * `gpmctl --help` lists every flag with its default and range.
  *
  * Cluster submits describe a rack: each --cluster-chip adds COUNT
  * chips (default 1) running COMBO (a combination key like "2way1",
@@ -38,14 +32,10 @@
  * position. This keeps one gpmctl from monopolizing the server's
  * per-client queue share.
  *
- * Retry options (see docs/ROBUSTNESS.md): --retries N (additional
- * attempts after the first, default 0), --retry-base-ms B (backoff
- * scale, default 50), --deadline MS (overall wall-clock budget
- * across all attempts, 0 = none), --timeout-ms T (per-attempt
- * response timeout, 0 = none), --seed S (backoff jitter seed,
- * default 1 — same seed, same delays). Retries fire on connect
- * failure, transport failure/timeout, and transient "busy" /
- * "rejected_overload" / "internal_error" responses, with
+ * Retries (--retries, --retry-base-ms, --deadline, --timeout-ms,
+ * --seed; see docs/ROBUSTNESS.md) fire on connect failure,
+ * transport failure/timeout, and transient "busy" /
+ * "rejected_overload" / "internal_error" responses, with seeded
  * exponential backoff and jitter, all bounded by --deadline. A
  * --deadline by itself funds retries past the --retries count (so
  * a connection refused while the daemon is still starting keeps
@@ -64,6 +54,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -73,39 +65,12 @@
 #include "service/net.hh"
 #include "trace/workload.hh"
 #include "util/backoff.hh"
+#include "util/flags.hh"
 
 namespace
 {
 
 using gpm::json::Value;
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: gpmctl [--host H[,H2[:P2],...]] [--port P] "
-        "[retry options] "
-        "<ping|stats|shutdown|submit|submit-batch> "
-        "[submit options | @FILE.ndjson]\n"
-        "  --host takes a comma-separated HOST[:PORT] list; "
-        "retries rotate\n"
-        "  through the endpoints (entries without :PORT use "
-        "--port)\n"
-        "retry options: [--retries N] [--retry-base-ms B] "
-        "[--deadline MS]\n"
-        "  [--timeout-ms T] [--seed S] [--max-inflight N]\n"
-        "submit options: --combo a,b | --combo-key KEY; "
-        "--policy NAME\n"
-        "  --budget F | --budgets F1,F2,...\n"
-        "  [--static-fit peak|average] [--explore-us X] "
-        "[--delta-us X]\n"
-        "  [--contention] [--sensor-noise X] [--deadline-ms X] "
-        "| --json SCENARIO\n"
-        "cluster submit: --cluster-chip COMBO:POLICY[:COUNT] "
-        "(repeatable)\n"
-        "  [--epochs N] [--epoch-us X] [--levels K]\n");
-}
 
 std::vector<std::string>
 splitCommas(const std::string &s)
@@ -186,28 +151,15 @@ main(int argc, char **argv)
     std::uint16_t port = 7421;
     std::string command;
 
-    // Endpoint rotation (--host a,b,c): each retryable failure
-    // moves to the next endpoint, so a dead daemon or a router
-    // answering only open-breaker refusals is routed around
-    // client-side while the usual retry budget funds the attempts.
-    struct Endpoint
-    {
-        std::string host;
-        std::uint16_t port;
-    };
-    std::vector<Endpoint> endpoints;
-    std::size_t ep_idx = 0;
-
     // Scenario pieces for `submit`.
     std::string combo_arg, combo_key, policy, budget_arg,
         budgets_arg;
     std::string static_fit, json_arg, batch_file;
-    double explore_us = -1.0, delta_us = -1.0, sensor_noise = -1.0;
-    double request_deadline_ms = -1.0;
+    std::optional<double> explore_us, delta_us, sensor_noise,
+        request_deadline_ms, cluster_epoch_us;
+    std::optional<long> cluster_epochs, cluster_levels;
     bool contention = false;
     std::vector<std::string> cluster_chips;
-    long cluster_epochs = -1, cluster_levels = -1;
-    double cluster_epoch_us = -1.0;
 
     // Retry policy.
     long retries = 0;
@@ -217,105 +169,100 @@ main(int argc, char **argv)
     unsigned long long seed = 1;
     long max_inflight = 0; // 0 = the whole batch in one request
 
-    auto need = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            die(std::string(argv[i]) + " needs a value");
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; i++) {
-        std::string a = argv[i];
-        if (a == "--host")
-            host = need(i), i++;
-        else if (a == "--port")
-            port = static_cast<std::uint16_t>(std::atoi(need(i))),
-            i++;
-        else if (a == "--combo")
-            combo_arg = need(i), i++;
-        else if (a == "--combo-key")
-            combo_key = need(i), i++;
-        else if (a == "--policy")
-            policy = need(i), i++;
-        else if (a == "--budget")
-            budget_arg = need(i), i++;
-        else if (a == "--budgets")
-            budgets_arg = need(i), i++;
-        else if (a == "--static-fit")
-            static_fit = need(i), i++;
-        else if (a == "--explore-us")
-            explore_us = std::atof(need(i)), i++;
-        else if (a == "--delta-us")
-            delta_us = std::atof(need(i)), i++;
-        else if (a == "--sensor-noise")
-            sensor_noise = std::atof(need(i)), i++;
-        else if (a == "--deadline-ms")
-            request_deadline_ms = std::atof(need(i)), i++;
-        else if (a == "--contention")
-            contention = true;
-        else if (a == "--cluster-chip")
-            cluster_chips.push_back(need(i)), i++;
-        else if (a == "--epochs")
-            cluster_epochs = std::atol(need(i)), i++;
-        else if (a == "--epoch-us")
-            cluster_epoch_us = std::atof(need(i)), i++;
-        else if (a == "--levels")
-            cluster_levels = std::atol(need(i)), i++;
-        else if (a == "--json")
-            json_arg = need(i), i++;
-        else if (a == "--retries")
-            retries = std::atol(need(i)), i++;
-        else if (a == "--retry-base-ms")
-            retry_base_ms = std::atof(need(i)), i++;
-        else if (a == "--deadline")
-            deadline_ms = std::atof(need(i)), i++;
-        else if (a == "--timeout-ms")
-            timeout_ms = std::atof(need(i)), i++;
-        else if (a == "--seed")
-            seed = std::strtoull(need(i), nullptr, 10), i++;
-        else if (a == "--max-inflight")
-            max_inflight = std::atol(need(i)), i++;
-        else if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else if (!a.empty() && a[0] == '-')
-            die("unknown option '" + a + "' (try --help)");
-        else if (command.empty())
+    constexpr double kInf = std::numeric_limits<double>::max();
+    constexpr long kLongMax = std::numeric_limits<long>::max();
+    gpm::FlagSet flags(
+        "gpmctl",
+        "usage: gpmctl [options] "
+        "<ping|stats|shutdown|submit|submit-batch> [@FILE.ndjson]");
+    flags.add("--host", &host, "H[,H2[:P2],...]",
+              "daemon or router address; a comma-separated "
+              "HOST[:PORT] list rotates retries through the "
+              "endpoints (entries without :PORT use --port)");
+    flags.add("--port", &port, std::uint16_t{1}, std::uint16_t{65535},
+              "TCP port");
+    flags.add("--retries", &retries, 0L, 1000000L,
+              "additional attempts after the first");
+    flags.add("--retry-base-ms", &retry_base_ms, 0.0, kInf,
+              "backoff scale");
+    flags.add("--deadline", &deadline_ms, 0.0, kInf,
+              "overall wall-clock budget across all attempts [ms], "
+              "which also funds retries past --retries; 0 = none");
+    flags.add("--timeout-ms", &timeout_ms, 0.0, kInf,
+              "per-attempt response timeout; 0 = none");
+    flags.add("--seed", &seed, 0ULL,
+              std::numeric_limits<unsigned long long>::max(),
+              "backoff jitter seed (same seed, same delays)");
+    flags.add("--max-inflight", &max_inflight, 0L, kLongMax,
+              "submit-batch: scenarios per request; 0 = all");
+    flags.add("--combo", &combo_arg, "A,B", "submit: benchmark list");
+    flags.add("--combo-key", &combo_key, "KEY",
+              "submit: Table 2 combination key (e.g. 2way1)");
+    flags.add("--policy", &policy, "NAME", "submit: policy name");
+    flags.add("--budget", &budget_arg, "F",
+              "submit: power budget fraction");
+    flags.add("--budgets", &budgets_arg, "F1,F2,...",
+              "submit: budget sweep");
+    flags.add("--static-fit", &static_fit, "peak|average",
+              "submit: static-planner fit");
+    flags.add("--explore-us", &explore_us, 0.0, kInf,
+              "submit: exploration interval");
+    flags.add("--delta-us", &delta_us, 0.0, kInf,
+              "submit: simulation step");
+    flags.addSwitch("--contention", &contention, true,
+                    "submit: model shared-L2/memory contention");
+    flags.add("--sensor-noise", &sensor_noise, 0.0, kInf,
+              "submit: sensor noise");
+    flags.add("--deadline-ms", &request_deadline_ms, 0.0, kInf,
+              "submit: server-side request deadline");
+    flags.add("--json", &json_arg, "SCENARIO",
+              "submit: the scenario object verbatim");
+    flags.addCustom("--cluster-chip", "COMBO:POLICY[:COUNT]",
+                    "submit: add COUNT chips running COMBO under "
+                    "POLICY (repeatable)",
+                    [&](const std::string &v) {
+                        cluster_chips.push_back(v);
+                        return std::string();
+                    });
+    flags.add("--epochs", &cluster_epochs, 1L, kLongMax,
+              "cluster submit: epochs");
+    flags.add("--epoch-us", &cluster_epoch_us, 0.0, kInf,
+              "cluster submit: epoch length");
+    flags.add("--levels", &cluster_levels, 1L, kLongMax,
+              "cluster submit: facility budget levels");
+    flags.positional([&](const std::string &a) {
+        if (command.empty())
             command = a;
         else if (command == "submit-batch" && batch_file.empty() &&
                  a[0] == '@')
             batch_file = a.substr(1);
         else
-            die("unexpected argument '" + a + "'");
-    }
+            return "unexpected argument '" + a + "'";
+        return std::string();
+    });
+    flags.parse(argc, argv);
 
     if (command != "ping" && command != "stats" &&
         command != "shutdown" && command != "submit" &&
         command != "submit-batch") {
-        usage();
+        std::fputs(flags.usage().c_str(), stderr);
         return 1;
     }
 
-    // --host may be a comma-separated HOST[:PORT] list; entries
-    // without a port inherit --port (parsed here, after the arg
-    // loop, so --host and --port order does not matter).
-    for (const auto &tok : splitCommas(host)) {
-        if (tok.empty())
-            continue;
-        std::size_t colon = tok.rfind(':');
-        if (colon != std::string::npos && colon != 0 &&
-            colon + 1 < tok.size() &&
-            tok.find_first_not_of("0123456789", colon + 1) ==
-                std::string::npos) {
-            int p = std::atoi(tok.c_str() + colon + 1);
-            if (p <= 0 || p > 65535)
-                die("bad port in endpoint '" + tok + "'");
-            endpoints.push_back({tok.substr(0, colon),
-                                 static_cast<std::uint16_t>(p)});
-        } else {
-            endpoints.push_back({tok, port});
-        }
-    }
+    // Endpoint rotation (--host a,b,c): each retryable failure
+    // moves to the next endpoint, so a dead daemon or a router
+    // answering only open-breaker refusals is routed around
+    // client-side while the usual retry budget funds the attempts.
+    // Parsed after the flags, so --host and --port order does not
+    // matter.
+    auto parsed_eps = gpm::parseEndpoints(host, port);
+    if (!parsed_eps.ok())
+        die("--host: " + parsed_eps.error());
+    std::vector<gpm::Endpoint> endpoints =
+        std::move(parsed_eps.value());
     if (endpoints.empty())
         die("--host named no endpoints");
+    std::size_t ep_idx = 0;
 
     Value request = Value::object();
     request.set("id", "gpmctl");
@@ -348,14 +295,14 @@ main(int argc, char **argv)
                     chips.push(parseChipArg(arg));
                 Value cluster = Value::object();
                 cluster.set("chips", std::move(chips));
-                if (cluster_epochs > 0)
+                if (cluster_epochs)
                     cluster.set("epochs",
-                                static_cast<double>(cluster_epochs));
-                if (cluster_epoch_us > 0.0)
-                    cluster.set("epochUs", cluster_epoch_us);
-                if (cluster_levels > 0)
+                                static_cast<double>(*cluster_epochs));
+                if (cluster_epoch_us.value_or(0.0) > 0.0)
+                    cluster.set("epochUs", *cluster_epoch_us);
+                if (cluster_levels)
                     cluster.set("levels",
-                                static_cast<double>(cluster_levels));
+                                static_cast<double>(*cluster_levels));
                 scenario.set("cluster", std::move(cluster));
             } else if (!combo_key.empty()) {
                 // Table 2 keys like "2way1" pass through as a
@@ -378,15 +325,15 @@ main(int argc, char **argv)
             }
             if (!static_fit.empty())
                 scenario.set("staticFit", static_fit);
-            if (request_deadline_ms >= 0.0)
-                scenario.set("deadlineMs", request_deadline_ms);
+            if (request_deadline_ms)
+                scenario.set("deadlineMs", *request_deadline_ms);
             Value sim = Value::object();
-            if (explore_us > 0.0)
-                sim.set("exploreUs", explore_us);
-            if (delta_us > 0.0)
-                sim.set("deltaSimUs", delta_us);
-            if (sensor_noise >= 0.0)
-                sim.set("sensorNoise", sensor_noise);
+            if (explore_us.value_or(0.0) > 0.0)
+                sim.set("exploreUs", *explore_us);
+            if (delta_us.value_or(0.0) > 0.0)
+                sim.set("deltaSimUs", *delta_us);
+            if (sensor_noise)
+                sim.set("sensorNoise", *sensor_noise);
             if (contention)
                 sim.set("contention", true);
             if (!sim.asObject().empty())
@@ -488,7 +435,7 @@ main(int argc, char **argv)
             bool got_response = false;
             double retry_floor_ms = 0.0;
 
-            const Endpoint &ep =
+            const gpm::Endpoint &ep =
                 endpoints[ep_idx % endpoints.size()];
             auto conn = gpm::TcpStream::connectTo(ep.host, ep.port);
             if (!conn.ok()) {
@@ -681,7 +628,7 @@ main(int argc, char **argv)
             // replica.
             if (endpoints.size() > 1) {
                 ep_idx++;
-                const Endpoint &next =
+                const gpm::Endpoint &next =
                     endpoints[ep_idx % endpoints.size()];
                 failure += "; rotating to " + next.host + ":" +
                     std::to_string(next.port);

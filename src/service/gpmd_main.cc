@@ -8,48 +8,27 @@
  * finishes, open connections are closed, and the process exits 0.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
-#include <sys/socket.h>
 #include <thread>
 
 #include "power/dvfs.hh"
-#include "util/fault.hh"
 #include "service/server.hh"
 #include "service/service.hh"
 #include "trace/phase_profile.hh"
+#include "util/fault.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace
 {
 
-/** Listener fd for the async-signal-safe shutdown handler. */
-volatile std::sig_atomic_t g_stop = 0;
-int g_listen_fd = -1;
-
-void
-onSignal(int)
-{
-    g_stop = 1;
-    if (g_listen_fd >= 0)
-        ::shutdown(g_listen_fd, SHUT_RDWR);
-}
-
 struct DaemonConfig
 {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 7421;
-    /** Non-zero: serve GET /metrics and /healthz on this port
-     *  (same reactor; 0 = no observability listener). */
-    std::uint16_t metricsPort = 0;
-    bool metricsPortSet = false;
-    int listenBacklog = 1024;
+    gpm::DaemonTransport transport;
     gpm::ServiceOptions service;
-    gpm::ServerOptions server;
     double scale = 1.0;
     /** Non-empty: per-workload content-addressed profile store
      *  directory; the suite is prewarmed into/from it in the
@@ -60,75 +39,11 @@ struct DaemonConfig
     std::string faultSpec;
 };
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --host ADDR        bind address (default 127.0.0.1)\n"
-        "  --port N           TCP port; 0 = ephemeral (default "
-        "7421)\n"
-        "  --metrics-port N   serve GET /metrics (Prometheus "
-        "text)\n"
-        "                     and /healthz on this port; 0 = "
-        "ephemeral\n"
-        "                     (default: no metrics listener)\n"
-        "  --reactor-threads N  epoll event loops serving the\n"
-        "                     sockets (default 1)\n"
-        "  --listen-backlog N listen(2) backlog (default 1024,\n"
-        "                     clamped by net.core.somaxconn)\n"
-        "  --workers N        queue worker threads (default 2)\n"
-        "  --queue N          queue high-water mark (default 64)\n"
-        "  --cache N          LRU result-cache entries (default "
-        "128)\n"
-        "  --sweep-threads N  threads per sweep; 0 = auto\n"
-        "  --cache-dir DIR    persistent result-cache directory\n"
-        "                     (unset = memory-only caching)\n"
-        "  --cache-disk-bytes N  disk-cache LRU byte budget\n"
-        "                     (default 64 MiB; 0 = unbounded)\n"
-        "  --scale S          workload length scale (default "
-        "GPM_SCALE or 1.0)\n"
-        "  --profile-cache-dir DIR  per-workload content-addressed\n"
-        "                     profile store (default\n"
-        "                     GPM_PROFILE_CACHE_DIR); the suite is\n"
-        "                     prewarmed in the background (unset =\n"
-        "                     build lazily per request)\n"
-        "  --idle-timeout-ms N  reap connections idle this long;\n"
-        "                     0 = never (default 60000)\n"
-        "  --write-timeout-ms N  per-write progress timeout;\n"
-        "                     0 = none (default 30000)\n"
-        "  --max-line-bytes N cap on a request line (default 1 MiB;"
-        "\n                     longer gets 'line_too_long')\n"
-        "  --fault SPEC       arm fault injection (also GPMD_FAULT;"
-        "\n                     e.g. worker-throw:0.5,seed:42 — see\n"
-        "                     docs/ROBUSTNESS.md)\n"
-        "  --overload-off     disable adaptive admission control\n"
-        "                     (binary busy/accept only)\n"
-        "  --overload-fair-share F  fraction of the queue one\n"
-        "                     connection may hold (default 0.5)\n"
-        "  --overload-headroom F  safety factor on predicted\n"
-        "                     completion vs deadline (default 1.0)\n"
-        "  --overload-degrade-depth F  queue-load fraction at/over\n"
-        "                     which admissions are flagged\n"
-        "                     overloaded (default 0.75)\n"
-        "  --degrade-ladder B 1/0: substitute cheaper ladder\n"
-        "                     solvers under overload or doomed\n"
-        "                     deadlines (default 1)\n"
-        "  --breaker-window N failure window of the disk/profile\n"
-        "                     circuit breakers (default 16)\n"
-        "  --breaker-threshold F  failure rate opening a breaker\n"
-        "                     (default 0.5)\n"
-        "  --breaker-cooldown-ms N  breaker open->half-open\n"
-        "                     cooldown (default 250)\n",
-        argv0);
-}
-
 DaemonConfig
 parseArgs(int argc, char **argv)
 {
     DaemonConfig cfg;
-    cfg.server.idleTimeoutMs = 60000;
-    cfg.server.writeTimeoutMs = 30000;
+    cfg.transport.port = 7421;
     if (const char *s = std::getenv("GPM_SCALE"); s && *s)
         cfg.scale = std::atof(s) > 0.0 ? std::atof(s) : 1.0;
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
@@ -137,100 +52,51 @@ parseArgs(int argc, char **argv)
     if (const char *s = std::getenv("GPMD_FAULT"); s && *s)
         cfg.faultSpec = s;
 
-    auto need = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            gpm::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; i++) {
-        std::string a = argv[i];
-        if (a == "--host")
-            cfg.host = need(i), i++;
-        else if (a == "--port")
-            cfg.port =
-                static_cast<std::uint16_t>(std::atoi(need(i))), i++;
-        else if (a == "--metrics-port") {
-            cfg.metricsPort =
-                static_cast<std::uint16_t>(std::atoi(need(i)));
-            cfg.metricsPortSet = true;
-            i++;
-        } else if (a == "--reactor-threads") {
-            long v = std::atol(need(i));
-            cfg.server.reactorThreads =
-                v > 0 ? static_cast<std::size_t>(v) : 1;
-            i++;
-        } else if (a == "--listen-backlog") {
-            int v = std::atoi(need(i));
-            cfg.listenBacklog = v > 0 ? v : 1024;
-            i++;
-        }
-        else if (a == "--workers")
-            cfg.service.workers =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--queue")
-            cfg.service.queueCapacity =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--cache")
-            cfg.service.cacheCapacity =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--sweep-threads")
-            cfg.service.sweepConcurrency =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--cache-dir")
-            cfg.service.cacheDir = need(i), i++;
-        else if (a == "--cache-disk-bytes")
-            cfg.service.cacheDiskBytes = static_cast<std::uint64_t>(
-                                             std::atoll(need(i))),
-            i++;
-        else if (a == "--scale") {
-            double v = std::atof(need(i));
-            cfg.scale = v > 0.0 ? v : 1.0;
-            i++;
-        } else if (a == "--profile-cache-dir")
-            cfg.profileCacheDir = need(i), i++;
-        else if (a == "--idle-timeout-ms")
-            cfg.server.idleTimeoutMs = std::atoi(need(i)), i++;
-        else if (a == "--write-timeout-ms")
-            cfg.server.writeTimeoutMs = std::atoi(need(i)), i++;
-        else if (a == "--max-line-bytes")
-            cfg.server.maxLineBytes =
-                static_cast<std::size_t>(std::atol(need(i))), i++;
-        else if (a == "--fault")
-            cfg.faultSpec = need(i), i++;
-        else if (a == "--overload-off")
-            cfg.service.admission.enabled = false;
-        else if (a == "--overload-fair-share")
-            cfg.service.admission.fairShare = std::atof(need(i)),
-            i++;
-        else if (a == "--overload-headroom")
-            cfg.service.admission.headroom = std::atof(need(i)),
-            i++;
-        else if (a == "--overload-degrade-depth")
-            cfg.service.admission.degradeDepth =
-                std::atof(need(i)),
-            i++;
-        else if (a == "--degrade-ladder")
-            cfg.service.degradeLadder = std::atoi(need(i)) != 0,
-            i++;
-        else if (a == "--breaker-window")
-            cfg.service.resultBreaker.window =
-                static_cast<std::size_t>(std::atol(need(i))),
-            i++;
-        else if (a == "--breaker-threshold")
-            cfg.service.resultBreaker.failureThreshold =
-                std::atof(need(i)),
-            i++;
-        else if (a == "--breaker-cooldown-ms")
-            cfg.service.resultBreaker.cooldownMs =
-                std::atof(need(i)),
-            i++;
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else
-            gpm::fatal("unknown option '%s' (try --help)",
-                       a.c_str());
-    }
+    using std::size_t;
+    gpm::ServiceOptions &svc = cfg.service;
+    gpm::FlagSet flags("gpmd", "usage: gpmd [options]");
+    gpm::addTransportFlags(flags, cfg.transport);
+    flags.add("--workers", &svc.workers, size_t{1}, size_t{1024},
+              "queue worker threads");
+    flags.add("--queue", &svc.queueCapacity, size_t{1},
+              size_t{1} << 24, "queue high-water mark");
+    flags.add("--cache", &svc.cacheCapacity, size_t{0},
+              size_t{1} << 24, "LRU result-cache entries");
+    flags.add("--sweep-threads", &svc.sweepConcurrency, size_t{0},
+              size_t{1024}, "threads per sweep; 0 = auto");
+    flags.add("--cache-dir", &svc.cacheDir, "DIR",
+              "persistent result-cache directory (unset = "
+              "memory-only caching)");
+    flags.add("--cache-disk-bytes", &svc.cacheDiskBytes,
+              std::uint64_t{0},
+              std::numeric_limits<std::uint64_t>::max(),
+              "disk-cache LRU byte budget; 0 = unbounded");
+    flags.add("--scale", &cfg.scale, 1e-6, 1e6,
+              "workload length scale; GPM_SCALE sets the default");
+    flags.add("--profile-cache-dir", &cfg.profileCacheDir, "DIR",
+              "per-workload content-addressed profile store (also "
+              "GPM_PROFILE_CACHE_DIR); the suite is prewarmed in the "
+              "background (unset = build lazily per request)");
+    flags.add("--fault", &cfg.faultSpec, "SPEC",
+              "arm fault injection (also GPMD_FAULT; e.g. "
+              "worker-throw:0.5,seed:42 — see docs/ROBUSTNESS.md)");
+    flags.addSwitch("--overload-off", &svc.admission.enabled, false,
+                    "disable adaptive admission control (binary "
+                    "busy/accept only)");
+    flags.add("--overload-fair-share", &svc.admission.fairShare, 0.0,
+              1.0, "fraction of the queue one connection may hold");
+    flags.add("--overload-headroom", &svc.admission.headroom, 0.0,
+              1e6,
+              "safety factor on predicted completion vs deadline");
+    flags.add("--overload-degrade-depth",
+              &svc.admission.degradeDepth, 0.0, 1e6,
+              "queue-load fraction at/over which admissions are "
+              "flagged overloaded");
+    flags.add("--degrade-ladder", &svc.degradeLadder, false, true,
+              "1/0: substitute cheaper ladder solvers under overload "
+              "or doomed deadlines");
+    gpm::addBreakerFlags(flags, svc.resultBreaker, "disk/profile");
+    flags.parse(argc, argv);
     return cfg;
 }
 
@@ -281,38 +147,9 @@ main(int argc, char **argv)
     }
 
     gpm::ScenarioService svc(lib, dvfs, cfg.service);
-    auto listener = gpm::TcpListener::listenOn(
-        cfg.host, cfg.port, cfg.listenBacklog);
-    if (!listener.ok())
-        gpm::fatal("gpmd: %s", listener.error().c_str());
-
-    gpm::GpmServer server(svc, std::move(listener.value()),
-                          cfg.server);
-    if (cfg.metricsPortSet) {
-        auto mlistener = gpm::TcpListener::listenOn(
-            cfg.host, cfg.metricsPort, 64);
-        if (!mlistener.ok())
-            gpm::fatal("gpmd: metrics listener: %s",
-                       mlistener.error().c_str());
-        server.attachMetricsListener(std::move(mlistener.value()));
-    }
-    g_listen_fd = server.listenerFd();
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::printf("gpmd: listening on %s:%u\n", cfg.host.c_str(),
-                static_cast<unsigned>(server.port()));
-    if (server.metricsPort() != 0)
-        std::printf("gpmd: metrics on %s:%u\n", cfg.host.c_str(),
-                    static_cast<unsigned>(server.metricsPort()));
-    std::fflush(stdout);
-
-    server.run();
-
-    std::printf("gpmd: draining\n");
-    std::fflush(stdout);
-    server.stopAndDrain();
+    gpm::GpmServer server(svc, gpm::listenOrDie("gpmd", cfg.transport),
+                          cfg.transport.client);
+    gpm::serveUntilStopped("gpmd", server, cfg.transport);
     if (prewarm.joinable())
         prewarm.join();
     std::printf("gpmd: shutdown complete\n");

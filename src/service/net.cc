@@ -19,6 +19,47 @@ errnoString(const char *what)
     return std::string(what) + ": " + std::strerror(errno);
 }
 
+Expected<std::vector<Endpoint>, std::string>
+parseEndpoints(std::string_view list,
+               std::optional<std::uint16_t> defaultPort)
+{
+    using Result = Expected<std::vector<Endpoint>, std::string>;
+    std::vector<Endpoint> eps;
+    while (!list.empty()) {
+        std::size_t comma = list.find(',');
+        std::string tok(list.substr(0, comma));
+        list = comma == std::string_view::npos
+                   ? std::string_view()
+                   : list.substr(comma + 1);
+        if (tok.empty())
+            continue;
+        std::size_t colon = tok.rfind(':');
+        bool hasPort = colon != std::string::npos && colon != 0 &&
+                       colon + 1 < tok.size();
+        bool numeric =
+            hasPort && tok.find_first_not_of("0123456789",
+                                             colon + 1) ==
+                           std::string::npos;
+        if (defaultPort && !numeric) {
+            eps.push_back({tok, *defaultPort});
+            continue;
+        }
+        if (!hasPort)
+            return Result::failure("endpoint '" + tok +
+                                   "' is not HOST:PORT");
+        // Digits only, at most 5 of them, so no overflow below.
+        long port = numeric && tok.size() - colon - 1 <= 5
+                        ? std::stol(tok.substr(colon + 1))
+                        : 0;
+        if (port <= 0 || port > 65535)
+            return Result::failure("endpoint '" + tok +
+                                   "' has a bad port");
+        eps.push_back({tok.substr(0, colon),
+                       static_cast<std::uint16_t>(port)});
+    }
+    return eps;
+}
+
 TcpListener::TcpListener(TcpListener &&o) noexcept
     : fd_(std::exchange(o.fd_, -1)), port_(std::exchange(o.port_, 0))
 {

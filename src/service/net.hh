@@ -23,14 +23,39 @@
 #define GPM_SERVICE_NET_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/line_scanner.hh"
 #include "util/expected.hh"
 
 namespace gpm
 {
+
+/** One HOST:PORT address. */
+struct Endpoint
+{
+    std::string host;
+    std::uint16_t port = 0;
+
+    std::string name() const
+    {
+        return host + ":" + std::to_string(port);
+    }
+};
+
+/**
+ * Parse a comma-separated HOST[:PORT] list (gpm-router --backends,
+ * gpmctl --host); empty entries are skipped. With @p defaultPort,
+ * an entry without a numeric :PORT suffix takes it; without, every
+ * entry must be HOST:PORT. A port outside 1..65535 is an error
+ * either way.
+ */
+Expected<std::vector<Endpoint>, std::string>
+parseEndpoints(std::string_view list,
+               std::optional<std::uint16_t> defaultPort);
 
 class TcpListener
 {

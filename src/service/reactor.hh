@@ -1,10 +1,10 @@
 /**
  * @file
- * Epoll reactor transport for gpmd — the 10k-connection accept/read
- * path underneath GpmServer.
+ * Epoll reactor transport for gpmd and gpm-router — the
+ * 10k-connection accept/read path underneath NdjsonFrontend.
  *
  * A ReactorPool runs N single-threaded event loops (default 1; see
- * ServerOptions::reactorThreads). Reactor 0 owns the listening
+ * ReactorOptions::threads). Reactor 0 owns the listening
  * sockets and hands accepted connections round-robin to the pool;
  * every data socket is non-blocking and registered edge-triggered
  * (EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP). Each connection is a
@@ -21,8 +21,7 @@
  *    never blocks a thread;
  *  - idle reaping and write-progress deadlines are timer sweeps on
  *    the owning reactor (a connection owed responses is working,
- *    not idle — same contract as the old thread-per-connection
- *    reader).
+ *    not idle).
  *
  * Cross-thread signalling is one eventfd per reactor: worker
  * threads completing a scenario enqueue the response and push the
@@ -70,7 +69,8 @@ namespace gpm
 class Reactor;
 class ReactorPool;
 
-/** Reactor tuning; GpmServer maps ServerOptions onto this. */
+/** Reactor tuning: the client-side transport settings of gpmd and
+ *  gpm-router (NdjsonFrontend, frontend.hh). */
 struct ReactorOptions
 {
     std::size_t threads = 1;
@@ -158,7 +158,8 @@ class ReactorConn
     std::atomic<bool> broken{false};
 };
 
-/** What the protocol layer (GpmServer) plugs into the transport. */
+/** What the protocol layer (NdjsonFrontend) plugs into the
+ *  transport. */
 class ReactorHandler
 {
   public:

@@ -2,7 +2,6 @@
 
 #include "service/prom.hh"
 #include "util/fault.hh"
-#include "util/logging.hh"
 
 namespace gpm
 {
@@ -10,451 +9,175 @@ namespace gpm
 using json::Value;
 
 GpmServer::GpmServer(ScenarioService &svc_, TcpListener listener_,
-                     ServerOptions opts_)
-    : svc(svc_), listener(std::move(listener_)), opts(opts_)
+                     ReactorOptions transport_)
+    : NdjsonFrontend(std::move(listener_), transport_), svc(svc_)
 {
-    ReactorOptions ropts;
-    ropts.threads = opts.reactorThreads;
-    ropts.idleTimeoutMs = opts.idleTimeoutMs;
-    ropts.writeTimeoutMs = opts.writeTimeoutMs;
-    ropts.maxLineBytes = opts.maxLineBytes;
-    // Convert to the private base here, in member context, where
-    // the conversion is accessible.
-    ReactorHandler &handler = *this;
-    pool = std::make_unique<ReactorPool>(handler, ropts);
-    pool->serveListener(listener.fd());
 }
 
 GpmServer::~GpmServer() { stopAndDrain(); }
 
 void
-GpmServer::attachMetricsListener(TcpListener l)
+GpmServer::drainWork()
 {
-    metricsListener = std::move(l);
-    pool->serveHttpListener(metricsListener.fd());
-}
-
-void
-GpmServer::run()
-{
-    pool->start();
-    std::unique_lock<std::mutex> lock(stopMtx);
-    stopCv.wait(lock, [&] { return acceptClosed; });
-}
-
-void
-GpmServer::requestStop()
-{
-    listener.shutdownListener();
-}
-
-void
-GpmServer::onAcceptDone()
-{
-    std::lock_guard<std::mutex> lock(stopMtx);
-    acceptClosed = true;
-    stopCv.notify_all();
-}
-
-void
-GpmServer::stopAndDrain()
-{
-    requestStop();
-    {
-        std::lock_guard<std::mutex> lock(stopMtx);
-        if (drained)
-            return;
-        drained = true;
-    }
-    // Finish dispatched scenario work first: every pending response
-    // is computed and enqueued (the workers invoke the connections'
-    // completion callbacks) before any socket goes away.
+    // Dispatched scenario work completes first: the workers invoke
+    // the connections' completion callbacks, enqueueing every
+    // pending response before any socket goes away.
     svc.drain();
-    // Then flush what is queued, close every connection and join
-    // the reactor threads.
-    pool->shutdownAndJoin();
-    listener.close();
-    metricsListener.close();
 }
 
 namespace
 {
 
+/**
+ * A submit response line (@p index null) or one submit_batch
+ * per-scenario line (carrying "index", the position in the request
+ * array, and the canonical "hash", so clients can match out-of-order
+ * completions). The payload is already serialized JSON, spliced in
+ * verbatim so cached and computed results are byte-identical.
+ */
 std::string
-errorResponse(const Value &id, const std::string &code,
-              const std::string &message,
-              double retryAfterMs = 0.0)
+resultLine(const Value &id, const std::size_t *index,
+           const ScenarioService::Response &r)
 {
-    Value root = Value::object();
-    root.set("id", id);
-    root.set("ok", false);
-    Value err = Value::object();
-    err.set("code", code);
-    err.set("message", message);
-    if (retryAfterMs > 0.0)
-        err.set("retryAfterMs", retryAfterMs);
-    root.set("error", std::move(err));
-    return root.dump();
-}
-
-/** The "degraded": {from, to, reason} marker for responses the
- *  ladder served one or more rungs down. */
-Value
-degradedMarker(const ScenarioService::Response &r)
-{
-    Value d = Value::object();
-    d.set("from", r.degradedFrom);
-    d.set("to", r.degradedTo);
-    d.set("reason", r.degradedReason);
-    return d;
-}
-
-std::string
-okResponse(const Value &id, Value result)
-{
-    Value root = Value::object();
-    root.set("id", id);
-    root.set("ok", true);
-    root.set("result", std::move(result));
-    return root.dump();
-}
-
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-/** Single-submit response: the payload is already serialized JSON,
- *  spliced in verbatim so cached and computed responses are
- *  byte-identical in their "result" field. */
-std::string
-submitResponse(const Value &id, const ScenarioService::Response &r)
-{
-    if (!r.ok)
+    if (!r.ok && !index)
         return errorResponse(id, r.errorCode, r.errorMessage,
                              r.retryAfterMs);
     Value head = Value::object();
     head.set("id", id);
-    head.set("ok", true);
-    head.set("cached", r.cacheHit);
-    if (!r.degradedTo.empty())
-        head.set("degraded", degradedMarker(r));
-    std::string out = head.dump();
-    out.pop_back(); // strip '}'
-    out += ",\"result\":" + r.payload + "}";
-    return out;
-}
-
-/** One submit_batch per-scenario response line: position in the
- *  request array plus the canonical hash, so clients can match
- *  out-of-order completions however they prefer. */
-std::string
-batchResponse(const Value &id, std::size_t index,
-              const ScenarioService::Response &r)
-{
-    Value head = Value::object();
-    head.set("id", id);
     head.set("ok", r.ok);
-    head.set("index", index);
-    head.set("hash", hashHex(r.hash));
+    if (index) {
+        head.set("index", *index);
+        head.set("hash", hashHex(r.hash));
+    }
     if (!r.ok) {
-        Value err = Value::object();
-        err.set("code", r.errorCode);
-        err.set("message", r.errorMessage);
-        if (r.retryAfterMs > 0.0)
-            err.set("retryAfterMs", r.retryAfterMs);
-        head.set("error", std::move(err));
+        head.set("error", errorObject(r.errorCode, r.errorMessage,
+                                      r.retryAfterMs));
         return head.dump();
     }
     head.set("cached", r.cacheHit);
-    if (!r.degradedTo.empty())
-        head.set("degraded", degradedMarker(r));
+    if (!r.degradedTo.empty()) {
+        Value d = Value::object();
+        d.set("from", r.degradedFrom);
+        d.set("to", r.degradedTo);
+        d.set("reason", r.degradedReason);
+        head.set("degraded", std::move(d));
+    }
     std::string out = head.dump();
     out.pop_back(); // strip '}'
-    out += ",\"result\":" + r.payload + "}";
-    return out;
-}
-
-/** Frame one complete HTTP/1.0 response. */
-std::string
-httpResponse(int code, const char *status, const char *ctype,
-             std::string body)
-{
-    std::string r = "HTTP/1.0 ";
-    r += std::to_string(code);
-    r += ' ';
-    r += status;
-    r += "\r\nContent-Type: ";
-    r += ctype;
-    r += "\r\nContent-Length: ";
-    r += std::to_string(body.size());
-    r += "\r\nConnection: close\r\n\r\n";
-    r += body;
-    return r;
+    return out + ",\"result\":" + r.payload + "}";
 }
 
 } // namespace
 
-void
-GpmServer::sendLine(const std::shared_ptr<ReactorConn> &conn,
-                    std::string line)
-{
-    line.push_back('\n');
-    conn->send(std::move(line));
-}
-
 std::string
-GpmServer::onLineTooLong()
+GpmServer::metricsBody()
 {
-    std::string line = errorResponse(
-        Value(nullptr), "line_too_long",
-        "request line exceeds " +
-            std::to_string(opts.maxLineBytes) + " bytes");
-    line.push_back('\n');
-    return line;
+    ServerCounters c;
+    c.connections = pool->stats().accepted;
+    c.requests = requests.load(std::memory_order_relaxed);
+    c.reactorThreads = transport.threads;
+    return renderPrometheus(svc.stats(), pool->stats(), c);
 }
 
-std::string
-GpmServer::onHttpRequest(std::string_view method,
-                         std::string_view path)
+Value
+GpmServer::statsResult()
 {
-    if (method != "GET")
-        return httpResponse(405, "Method Not Allowed",
-                            "text/plain; charset=utf-8",
-                            "method not allowed\n");
-    if (path == "/healthz")
-        return httpResponse(200, "OK",
-                            "text/plain; charset=utf-8", "ok\n");
-    if (path == "/metrics") {
-        ServerCounters c;
-        c.connections = pool->stats().accepted;
-        c.requests = requests.load(std::memory_order_relaxed);
-        c.reactorThreads = opts.reactorThreads;
-        return httpResponse(
-            200, "OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            renderPrometheus(svc.stats(), pool->stats(), c));
-    }
-    return httpResponse(404, "Not Found",
-                        "text/plain; charset=utf-8",
-                        "not found\n");
+    ServiceStats s = svc.stats();
+    ReactorStats r = pool->stats();
+    Value result = Value::object();
+    result.set("uptimeSec", s.uptimeSec);
+    result.set("served", s.served);
+    result.set("cacheHits", s.cacheHits);
+    result.set("cacheMisses", s.cacheMisses);
+    result.set("cacheHitRate", s.cacheHitRate);
+    result.set("cacheSize", s.cacheSize);
+    result.set("queueDepth", s.queueDepth);
+    result.set("inFlight", s.inFlight);
+    result.set("rejectedBusy", s.rejectedBusy);
+    result.set("invalid", s.invalid);
+    result.set("shedDeadline", s.shedDeadline);
+    result.set("workerCrashes", s.workerCrashes);
+    result.set("workersAlive", s.workersAlive);
+    result.set("batchRequests", s.batchRequests);
+    result.set("diskHits", s.diskHits);
+    result.set("diskEvictions", s.diskEvictions);
+    result.set("diskQuarantined", s.diskQuarantined);
+    result.set("diskEntries", s.diskEntries);
+    result.set("diskBytes", s.diskBytes);
+    result.set("cancelledMidSweep", s.cancelledMidSweep);
+    result.set("clusterRequests", s.clusterRequests);
+    result.set("clusterEpochs", s.clusterEpochs);
+    result.set("chipSims", s.chipSims);
+    result.set("profileBuilds", s.profileBuilds);
+    result.set("profileDiskHits", s.profileDiskHits);
+    result.set("profileBuildMs", s.profileBuildMs);
+    result.set("profileReady", s.profileReady);
+    result.set("profileQuarantined", s.profileQuarantined);
+    result.set("shedOverload", s.shedOverload);
+    result.set("degradedRequests", s.degradedRequests);
+    result.set("breakerOpens",
+               s.diskBreakerOpens + s.profileBreakerOpens);
+    result.set("breakerRefusals",
+               s.diskBreakerRefusals +
+                   s.profileBreakerRefusals);
+    result.set("breakerStateDisk",
+               std::string(s.diskBreakerState));
+    result.set("breakerStateProfile",
+               std::string(s.profileBreakerState));
+    result.set("connections", r.accepted);
+    result.set("requests", requests.load());
+    result.set("idleReaped", r.idleReaped);
+    result.set("lineTooLong", r.lineTooLong);
+    result.set("openConnections", r.openConnections);
+    result.set("epollWakeups", r.epollWakeups);
+    result.set("bytesIn", r.bytesIn);
+    result.set("bytesOut", r.bytesOut);
+    result.set("ringHighWater", r.ringHighWater);
+    result.set("acceptSheds", r.emfileSheds);
+    result.set("faultsArmed", fault::armed());
+    return result;
 }
 
 void
-GpmServer::onLine(const std::shared_ptr<ReactorConn> &conn,
-                  std::string_view line)
+GpmServer::submit(const std::shared_ptr<ReactorConn> &conn,
+                  const Value &id, const Value &, ScenarioSpec spec)
 {
-    requests++;
-    Value id(nullptr);
+    // Dispatch and return to reading: the response line is enqueued
+    // whenever the service completes it (immediately for cache hits
+    // and rejections).
+    conn->addPending(1);
+    svc.submitAsync(
+        spec,
+        [conn, id](ScenarioService::Response &&r) {
+            sendLine(conn, resultLine(id, nullptr, r));
+            conn->decPending();
+        },
+        conn->clientId());
+}
 
-    auto parsed = json::parse(line);
-    if (!parsed.ok()) {
-        sendLine(conn,
-                 errorResponse(id, "parse",
-                               parsed.error().message +
-                                   " at offset " +
-                                   std::to_string(
-                                       parsed.error().offset)));
-        return;
+void
+GpmServer::submitBatch(const std::shared_ptr<ReactorConn> &conn,
+                       const Value &id, const Value::Array &,
+                       std::vector<ScenarioSpec> specs)
+{
+    // Count the whole batch as pending before dispatch: hit
+    // callbacks fire synchronously inside submitBatch.
+    conn->addPending(specs.size());
+    auto outcome = svc.submitBatch(
+        specs,
+        [conn, id](std::size_t index, ScenarioService::Response &&r) {
+            sendLine(conn, resultLine(id, &index, r));
+            conn->decPending();
+        },
+        conn->clientId());
+    if (!outcome.admitted) {
+        // No per-scenario callback fired or ever will: answer with
+        // one batch-level error line (no "index").
+        conn->decPending(specs.size());
+        sendLine(conn, errorResponse(id, outcome.errorCode,
+                                     outcome.errorMessage,
+                                     outcome.retryAfterMs));
     }
-    const Value &req = parsed.value();
-    if (!req.isObject()) {
-        sendLine(conn,
-                 errorResponse(id, "parse",
-                               "request must be a JSON object"));
-        return;
-    }
-
-    if (const Value *rid = req.find("id")) {
-        if (!rid->isScalar()) {
-            sendLine(conn, errorResponse(id, "invalid",
-                                         "id must be a scalar"));
-            return;
-        }
-        id = *rid;
-    }
-    for (const auto &[key, val] : req.asObject()) {
-        (void)val;
-        if (key != "id" && key != "verb" && key != "scenario" &&
-            key != "scenarios") {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "unknown request field '" +
-                                       key + "'"));
-            return;
-        }
-    }
-
-    const Value *verb = req.find("verb");
-    if (!verb || !verb->isString()) {
-        sendLine(conn,
-                 errorResponse(id, "invalid",
-                               "missing or non-string 'verb'"));
-        return;
-    }
-    const std::string &v = verb->asString();
-
-    if (v == "ping") {
-        Value result = Value::object();
-        result.set("pong", true);
-        sendLine(conn, okResponse(id, std::move(result)));
-        return;
-    }
-
-    if (v == "stats") {
-        ServiceStats s = svc.stats();
-        ReactorStats r = pool->stats();
-        Value result = Value::object();
-        result.set("uptimeSec", s.uptimeSec);
-        result.set("served", s.served);
-        result.set("cacheHits", s.cacheHits);
-        result.set("cacheMisses", s.cacheMisses);
-        result.set("cacheHitRate", s.cacheHitRate);
-        result.set("cacheSize", s.cacheSize);
-        result.set("queueDepth", s.queueDepth);
-        result.set("inFlight", s.inFlight);
-        result.set("rejectedBusy", s.rejectedBusy);
-        result.set("invalid", s.invalid);
-        result.set("shedDeadline", s.shedDeadline);
-        result.set("workerCrashes", s.workerCrashes);
-        result.set("workersAlive", s.workersAlive);
-        result.set("batchRequests", s.batchRequests);
-        result.set("diskHits", s.diskHits);
-        result.set("diskEvictions", s.diskEvictions);
-        result.set("diskQuarantined", s.diskQuarantined);
-        result.set("diskEntries", s.diskEntries);
-        result.set("diskBytes", s.diskBytes);
-        result.set("cancelledMidSweep", s.cancelledMidSweep);
-        result.set("clusterRequests", s.clusterRequests);
-        result.set("clusterEpochs", s.clusterEpochs);
-        result.set("chipSims", s.chipSims);
-        result.set("profileBuilds", s.profileBuilds);
-        result.set("profileDiskHits", s.profileDiskHits);
-        result.set("profileBuildMs", s.profileBuildMs);
-        result.set("profileReady", s.profileReady);
-        result.set("profileQuarantined", s.profileQuarantined);
-        result.set("shedOverload", s.shedOverload);
-        result.set("degradedRequests", s.degradedRequests);
-        result.set("breakerOpens",
-                   s.diskBreakerOpens + s.profileBreakerOpens);
-        result.set("breakerRefusals",
-                   s.diskBreakerRefusals +
-                       s.profileBreakerRefusals);
-        result.set("breakerStateDisk",
-                   std::string(s.diskBreakerState));
-        result.set("breakerStateProfile",
-                   std::string(s.profileBreakerState));
-        result.set("connections", r.accepted);
-        result.set("requests", requests.load());
-        result.set("idleReaped", r.idleReaped);
-        result.set("lineTooLong", r.lineTooLong);
-        result.set("openConnections", r.openConnections);
-        result.set("epollWakeups", r.epollWakeups);
-        result.set("bytesIn", r.bytesIn);
-        result.set("bytesOut", r.bytesOut);
-        result.set("ringHighWater", r.ringHighWater);
-        result.set("acceptSheds", r.emfileSheds);
-        result.set("faultsArmed", fault::armed());
-        sendLine(conn, okResponse(id, std::move(result)));
-        return;
-    }
-
-    if (v == "submit") {
-        const Value *scenario = req.find("scenario");
-        if (!scenario) {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "submit needs a 'scenario'"));
-            return;
-        }
-        auto spec = parseScenario(*scenario);
-        if (!spec.ok()) {
-            sendLine(conn,
-                     errorResponse(id, "invalid", spec.error()));
-            return;
-        }
-        // Dispatch and return to reading: the response line is
-        // enqueued whenever the service completes it (immediately
-        // for cache hits and rejections).
-        conn->addPending(1);
-        svc.submitAsync(
-            spec.value(),
-            [conn, id](ScenarioService::Response &&r) {
-                sendLine(conn, submitResponse(id, r));
-                conn->decPending();
-            },
-            conn->clientId());
-        return;
-    }
-
-    if (v == "submit_batch") {
-        const Value *scenarios = req.find("scenarios");
-        if (!scenarios || !scenarios->isArray()) {
-            sendLine(conn,
-                     errorResponse(
-                         id, "invalid",
-                         "submit_batch needs a 'scenarios' array"));
-            return;
-        }
-        const Value::Array &arr = scenarios->asArray();
-        if (arr.empty()) {
-            sendLine(conn,
-                     errorResponse(id, "invalid",
-                                   "'scenarios' must not be "
-                                   "empty"));
-            return;
-        }
-        std::vector<ScenarioSpec> specs;
-        specs.reserve(arr.size());
-        for (std::size_t i = 0; i < arr.size(); i++) {
-            auto spec = parseScenario(arr[i]);
-            if (!spec.ok()) {
-                sendLine(conn,
-                         errorResponse(id, "invalid",
-                                       "scenario " +
-                                           std::to_string(i) +
-                                           ": " + spec.error()));
-                return;
-            }
-            specs.push_back(std::move(spec.value()));
-        }
-        // Count the whole batch as pending before dispatch: hit
-        // callbacks fire synchronously inside submitBatch.
-        conn->addPending(specs.size());
-        auto outcome = svc.submitBatch(
-            specs,
-            [conn, id](std::size_t index,
-                       ScenarioService::Response &&r) {
-                sendLine(conn, batchResponse(id, index, r));
-                conn->decPending();
-            },
-            conn->clientId());
-        if (!outcome.admitted) {
-            // No per-scenario callback fired or ever will: answer
-            // with one batch-level error line (no "index").
-            conn->decPending(specs.size());
-            sendLine(conn,
-                     errorResponse(id, outcome.errorCode,
-                                   outcome.errorMessage,
-                                   outcome.retryAfterMs));
-        }
-        return;
-    }
-
-    if (v == "shutdown") {
-        Value result = Value::object();
-        result.set("stopping", true);
-        sendLine(conn, okResponse(id, std::move(result)));
-        requestStop();
-        return;
-    }
-
-    sendLine(conn, errorResponse(id, "invalid",
-                                 "unknown verb '" + v + "'"));
 }
 
 } // namespace gpm

@@ -330,7 +330,7 @@ class ChaosServerTest : public ChaosServiceTest
      *  service/server options, so this is not in SetUp(). */
     void
     start(ServiceOptions sopts = ServiceOptions{},
-          ServerOptions opts = ServerOptions{})
+          ReactorOptions opts = ReactorOptions{})
     {
         auto listener = TcpListener::listenOn("127.0.0.1", 0);
         ASSERT_TRUE(listener.ok()) << listener.error();
@@ -479,7 +479,7 @@ TEST_F(ChaosServerTest, WorkerThrowOverTheWireLeavesDaemonServing)
 
 TEST_F(ChaosServerTest, IdleConnectionIsReaped)
 {
-    ServerOptions opts;
+    ReactorOptions opts;
     opts.idleTimeoutMs = 150;
     start(ServiceOptions{}, opts);
 
@@ -499,7 +499,7 @@ TEST_F(ChaosServerTest, IdleConnectionIsReaped)
 
 TEST_F(ChaosServerTest, OverlongLineIsAnsweredThenConnectionCloses)
 {
-    ServerOptions opts;
+    ReactorOptions opts;
     opts.maxLineBytes = 64;
     start(ServiceOptions{}, opts);
 

@@ -225,7 +225,7 @@ class ReactorServerTest : public ::testing::Test
     }
 
     void
-    startServer(ServerOptions opts, bool withMetrics)
+    startServer(ReactorOptions opts, bool withMetrics)
     {
         auto listener = TcpListener::listenOn("127.0.0.1", 0);
         ASSERT_TRUE(listener.ok()) << listener.error();
@@ -305,7 +305,7 @@ class ReactorServerTest : public ::testing::Test
 
 TEST_F(ReactorServerTest, HealthzAnswersOk)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    startServer(ReactorOptions{}, /*withMetrics=*/true);
     std::string resp = httpGet("/healthz");
     EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos)
         << resp;
@@ -314,7 +314,7 @@ TEST_F(ReactorServerTest, HealthzAnswersOk)
 
 TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    startServer(ReactorOptions{}, /*withMetrics=*/true);
 
     // Generate a little traffic first so the transport counters
     // are non-trivially populated.
@@ -374,7 +374,7 @@ TEST_F(ReactorServerTest, MetricsExposesEveryServiceCounter)
 
 TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/true);
+    startServer(ReactorOptions{}, /*withMetrics=*/true);
     EXPECT_NE(httpGet("/nope").find("HTTP/1.0 404"),
               std::string::npos);
     EXPECT_NE(httpGet("/metrics", "POST").find("HTTP/1.0 405"),
@@ -383,7 +383,7 @@ TEST_F(ReactorServerTest, MetricsSurfaceRejectsOtherRequests)
 
 TEST_F(ReactorServerTest, RequestSplitAcrossManyWritesFrames)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/false);
+    startServer(ReactorOptions{}, /*withMetrics=*/false);
     TcpStream c = connect(port);
     const std::string req = R"({"id":7,"verb":"ping"})"
                             "\n";
@@ -399,7 +399,7 @@ TEST_F(ReactorServerTest, RequestSplitAcrossManyWritesFrames)
 
 TEST_F(ReactorServerTest, PipelinedBurstAnswersEveryRequest)
 {
-    startServer(ServerOptions{}, /*withMetrics=*/false);
+    startServer(ReactorOptions{}, /*withMetrics=*/false);
     TcpStream c = connect(port);
     const int kPings = 500;
     std::string burst;
@@ -421,8 +421,8 @@ TEST_F(ReactorServerTest, PipelinedBurstAnswersEveryRequest)
 
 TEST_F(ReactorServerTest, MultipleReactorThreadsServeConcurrently)
 {
-    ServerOptions opts;
-    opts.reactorThreads = 3;
+    ReactorOptions opts;
+    opts.threads = 3;
     startServer(opts, /*withMetrics=*/true);
 
     const int kConns = 12;
