@@ -24,9 +24,8 @@ int
 main()
 {
     using namespace gpm;
-    double scale = 0.1;
-    if (const char *s = std::getenv("GPM_ABLATION_SCALE"))
-        scale = std::atof(s);
+    const double scale = FlagSet::envNumber(
+        "GPM_ABLATION_SCALE", minLengthScale, maxLengthScale, 0.1);
 
     bench::banner("Ablation — DVFS mode-count sensitivity",
                   "MaxBIPS vs chip-wide degradation at an 80% "

@@ -3,12 +3,15 @@
  * Profile-pipeline build benchmark: the cold-start cost the paper's
  * "single-threaded Turandot runs" impose on every daemon start and
  * bench run, and what the parallel + content-addressed pipeline
- * recovers.
+ * recovers. Each workload is one build task: one pass over its op
+ * stream through the caches and branch predictor, timed at every
+ * DVFS mode in lockstep (Profiler::profileWorkload), so a suite
+ * build is 12 tasks whatever the mode count.
  *
  * Phases (each over the full 12-benchmark suite):
  *
- *   serial       buildSuite(1) into a cold store — the baseline the
- *                pre-parallel library paid on one thread
+ *   serial       buildSuite(1) into a cold store — the baseline of
+ *                one thread building the workloads one by one
  *   cold@T       buildSuite(T) with a cold store, for T in {2, 8};
  *                results are checked bitwise against the serial
  *                build before timing is reported
@@ -87,7 +90,6 @@ main()
     DvfsTable dvfs = DvfsTable::classic3();
     const double scale = scaleFromEnv();
     const std::size_t suite_n = spec2000Suite().size();
-    const std::size_t tasks = suite_n * dvfs.numModes();
     char dirbuf[] = "gpm_profile_store_bench.XXXXXX";
     if (!::mkdtemp(dirbuf))
         fatal("mkdtemp failed");
@@ -119,7 +121,7 @@ main()
         std::printf("cold @%zu   : %8.1f ms  speedup %.2fx "
                     "(bitwise-identical to serial)\n",
                     threads, ms, serial_ms / ms);
-        appendSweepJson("profile_build_cold", tasks, threads,
+        appendSweepJson("profile_build_cold", suite_n, threads,
                         serial_ms, ms);
     }
 
@@ -139,7 +141,7 @@ main()
         std::printf("warm      : %8.1f ms  (all %zu from disk, "
                     "0 builds)\n",
                     ms, suite_n);
-        appendSweepJson("profile_build_warm", tasks, 1, 0.0, ms);
+        appendSweepJson("profile_build_warm", suite_n, 1, 0.0, ms);
     }
 
     // --- incremental: invalidate one workload's entry -----------
@@ -165,8 +167,7 @@ main()
                   static_cast<unsigned long long>(st.diskHits));
         std::printf("increment : %8.1f ms  (rebuilt only %s)\n", ms,
                     victim.name.c_str());
-        appendSweepJson("profile_build_incremental",
-                        dvfs.numModes(), 1, 0.0, ms);
+        appendSweepJson("profile_build_incremental", 1, 1, 0.0, ms);
     }
 
     wipeStore(dir);

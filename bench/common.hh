@@ -28,6 +28,7 @@
 #include "metrics/experiment.hh"
 #include "trace/phase_profile.hh"
 #include "trace/workload.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -35,15 +36,13 @@
 namespace gpm::bench
 {
 
-/** Workload length scale from GPM_SCALE (default 1.0). */
+/** Workload length scale from GPM_SCALE (default 1.0), checked
+ *  like gpmd's --scale. */
 inline double
 scaleFromEnv()
 {
-    const char *s = std::getenv("GPM_SCALE");
-    if (!s)
-        return 1.0;
-    double v = std::atof(s);
-    return v > 0.0 ? v : 1.0;
+    return FlagSet::envNumber("GPM_SCALE", minLengthScale,
+                              maxLengthScale, 1.0);
 }
 
 /** Content-addressed profile-store directory from

@@ -749,7 +749,8 @@ gpmd_shard_smoke() {
 
 # Flag-table smoke: each binary's --help is rendered from its flag
 # table (exit 0, mentions --port), and an out-of-range or
-# non-numeric port is fatal before anything listens.
+# non-numeric port, or a non-numeric GPM_SCALE, is fatal before
+# anything listens.
 cli_flag_smoke() {
     local bdir=$1 bin out rc
     for bin in src/service/gpmd src/router/gpm-router \
@@ -771,6 +772,12 @@ cli_flag_smoke() {
     { [ "$rc" -ne 0 ] && ! grep -q 'listening on' <<<"$out"; } ||
         { echo "gpm-router --port abc was not rejected:"; echo "$out"
           return 1; }
+    rc=0
+    out=$(GPM_SCALE=abc timeout 30 "$bdir/src/service/gpmd" --help \
+        2>&1) || rc=$?
+    { [ "$rc" -eq 1 ] && grep -q "GPM_SCALE: 'abc'" <<<"$out"; } ||
+        { echo "gpmd with GPM_SCALE=abc was not rejected:"
+          echo "$out"; return 1; }
 }
 
 echo "== tier-1: standard build + ctest =="

@@ -90,6 +90,12 @@ struct GpmRouter::Backend
 namespace
 {
 
+/** Cap on one backend response line. The client-side
+ *  --max-line-bytes limits requests; a gpmd result (a batch or a
+ *  many-core sweep) is routinely longer than a request and comes
+ *  from a trusted peer, so it gets this fixed, generous bound. */
+constexpr std::size_t kMaxBackendLineBytes = std::size_t{64} << 20;
+
 // ---------------------------------------------------------------
 // Socket helpers (raw fds: the pooled connections are shared
 // between writer threads and a reader thread, which TcpStream's
@@ -725,8 +731,7 @@ GpmRouter::readerLoop(std::size_t bIdx, std::size_t cIdx)
             scanner.commit(static_cast<std::size_t>(n));
             std::string_view line;
             for (;;) {
-                auto st =
-                    scanner.next(line, transport.maxLineBytes);
+                auto st = scanner.next(line, kMaxBackendLineBytes);
                 if (st == LineScanner::Scan::Line) {
                     onBackendLine(bIdx, line);
                 } else if (st == LineScanner::Scan::NeedMore) {

@@ -18,6 +18,7 @@
 #include "service/server.hh"
 #include "service/service.hh"
 #include "trace/phase_profile.hh"
+#include "trace/workload.hh"
 #include "util/fault.hh"
 #include "util/flags.hh"
 #include "util/logging.hh"
@@ -44,8 +45,8 @@ parseArgs(int argc, char **argv)
 {
     DaemonConfig cfg;
     cfg.transport.port = 7421;
-    if (const char *s = std::getenv("GPM_SCALE"); s && *s)
-        cfg.scale = std::atof(s) > 0.0 ? std::atof(s) : 1.0;
+    cfg.scale = gpm::FlagSet::envNumber("GPM_SCALE", gpm::minLengthScale,
+                                        gpm::maxLengthScale, 1.0);
     if (const char *s = std::getenv("GPM_PROFILE_CACHE_DIR");
         s && *s)
         cfg.profileCacheDir = s;
@@ -71,7 +72,8 @@ parseArgs(int argc, char **argv)
               std::uint64_t{0},
               std::numeric_limits<std::uint64_t>::max(),
               "disk-cache LRU byte budget; 0 = unbounded");
-    flags.add("--scale", &cfg.scale, 1e-6, 1e6,
+    flags.add("--scale", &cfg.scale, gpm::minLengthScale,
+              gpm::maxLengthScale,
               "workload length scale; GPM_SCALE sets the default");
     flags.add("--profile-cache-dir", &cfg.profileCacheDir, "DIR",
               "per-workload content-addressed profile store (also "

@@ -466,8 +466,8 @@ ProfileLibrary::buildSuite(std::size_t concurrency)
     {
         const WorkloadSpec *spec;
         Slot *slot;
-        std::vector<ModeProfile> modes;
-        std::vector<std::uint64_t> modeMs;
+        WorkloadProfile profile;
+        std::uint64_t ms = 0;
     };
     std::vector<Pending> pending;     // claimed by us, suite order
     std::vector<std::string> foreign; // being built by others
@@ -483,16 +483,15 @@ ProfileLibrary::buildSuite(std::size_t concurrency)
                 continue;
             }
             s.state = Slot::State::Building;
-            pending.push_back({&w, &s, {}, {}});
+            pending.push_back({&w, &s, {}, 0});
         }
     }
 
-    const std::size_t n_modes = dvfs.numModes();
     // Everything between claiming the slots and publishing them runs
-    // under one catch: any throw (store probe, resize, a build, the
-    // consistency check) reverts the still-Building slots we claimed
-    // to Empty and wakes waiters, so no get() deadlocks on a slot
-    // with no builder behind it.
+    // under one catch: any throw (store probe, a build, a store
+    // save) reverts the still-Building slots we claimed to Empty and
+    // wakes waiters, so no get() deadlocks on a slot with no builder
+    // behind it.
     try {
         // Probe the store serially first: a disk read is cheap next
         // to a detailed-core run, and publishing early unblocks
@@ -512,45 +511,31 @@ ProfileLibrary::buildSuite(std::size_t concurrency)
         }
 
         if (!pending.empty()) {
-            inform("building %zu suite profiles (%zu detailed-core "
-                   "runs, concurrency %zu)",
-                   pending.size(), pending.size() * n_modes,
+            inform("building %zu suite profiles (one op stream per "
+                   "workload timed at %zu modes, concurrency %zu)",
+                   pending.size(), dvfs.numModes(),
                    concurrency ? concurrency : defaultConcurrency());
-            for (auto &pw : pending) {
-                pw.modes.resize(n_modes);
-                pw.modeMs.resize(n_modes);
-            }
             Profiler profiler(dvfs, cfg);
-            // One task per (workload x mode): the modes of one
-            // workload are independent deterministic runs, and a
-            // flat task list keeps all cores busy even when one
-            // workload dominates the suite.
+            // One task per workload: profileWorkload() times every
+            // mode from one pass over the workload's op stream.
             gpm::parallelFor(
-                concurrency, pending.size() * n_modes,
-                [&](std::size_t t) {
-                    Pending &pw = pending[t / n_modes];
-                    auto mi = static_cast<PowerMode>(t % n_modes);
+                concurrency, pending.size(), [&](std::size_t t) {
+                    Pending &pw = pending[t];
                     auto t0 = std::chrono::steady_clock::now();
-                    pw.modes[mi] = profiler.profileMode(
-                        *pw.spec, mi, lengthScale);
-                    pw.modeMs[mi] = elapsedMs(t0);
+                    pw.profile =
+                        profiler.profileWorkload(*pw.spec, lengthScale);
+                    pw.ms = elapsedMs(t0);
                 });
-            // Assemble + publish in suite order: deterministic
-            // slots, bitwise-identical to a serial
-            // profileWorkload() loop.
+            // Publish in suite order: deterministic slots, equal to
+            // a serial profileWorkload() loop.
             for (auto &pw : pending) {
-                WorkloadProfile p;
-                p.name = pw.spec->name;
-                p.modes = std::move(pw.modes);
-                Profiler::checkModeConsistency(p);
-                std::uint64_t ms = 0;
-                for (std::uint64_t m : pw.modeMs)
-                    ms += m;
                 if (store)
-                    store->save(p.name,
-                                workloadFingerprint(*pw.spec), p);
+                    store->save(pw.profile.name,
+                                workloadFingerprint(*pw.spec),
+                                pw.profile);
                 std::unique_lock<std::mutex> lock(mtx);
-                publishLocked(*pw.slot, std::move(p), false, ms);
+                publishLocked(*pw.slot, std::move(pw.profile), false,
+                              pw.ms);
             }
         }
     } catch (...) {

@@ -198,8 +198,8 @@ struct ProfileLibraryStats
     std::uint64_t builds = 0;
     /** Profiles served from the content-addressed disk store. */
     std::uint64_t diskHits = 0;
-    /** Cumulative detailed-sim time across (workload x mode) runs
-     *  [ms]. Sums per-mode run times, so under a parallel build it
+    /** Cumulative detailed-sim time across profile builds [ms].
+     *  Sums per-workload build times, so under a parallel build it
      *  exceeds wall clock — it measures work done, not latency. */
     std::uint64_t buildMs = 0;
     /** Profiles currently ready to serve. */
@@ -229,10 +229,10 @@ struct ProfileLibraryStats
  * concurrently, and a caller needing a profile another thread is
  * already building waits on *that entry* — never on the whole
  * suite and never behind a library-wide lock held across a
- * detailed-core sim. buildSuite() fans the missing
- * (workload x mode) runs out over a thread pool and assembles
- * results deterministically in suite order, bitwise-identical to a
- * serial build.
+ * detailed-core sim. buildSuite() fans the missing workloads
+ * out over a thread pool (each timed at every mode from one pass
+ * over its op stream) and publishes results deterministically in
+ * suite order, bitwise-identical to a serial build.
  */
 class ProfileLibrary
 {
@@ -266,12 +266,12 @@ class ProfileLibrary
 
     /**
      * Ensure every suite profile is Ready: probe the attached store
-     * for each missing workload, then fan the remaining
-     * (workload x mode) detailed-core runs out over a transient
-     * thread pool (@p concurrency; 0 = defaultConcurrency()) and
-     * assemble + publish in suite order. Safe to run while get()
-     * serves other threads; assembled profiles are bitwise-identical
-     * to serially built ones.
+     * for each missing workload, then fan the remaining workloads'
+     * detailed-core builds (one task each, every mode timed from
+     * one op stream) out over a transient thread pool
+     * (@p concurrency; 0 = defaultConcurrency()) and publish in
+     * suite order. Safe to run while get() serves other threads;
+     * the profiles are bitwise-identical to serially built ones.
      */
     void buildSuite(std::size_t concurrency = 0);
 

@@ -14,66 +14,67 @@ Profiler::Profiler(const DvfsTable &dvfs_, CoreConfig cfg_,
 {
 }
 
-ModeProfile
-Profiler::profileMode(const WorkloadSpec &spec, PowerMode m,
-                      double length_scale,
-                      std::uint64_t chunk_insts) const
-{
-    GPM_ASSERT(chunk_insts > 0);
-    GPM_ASSERT(m < dvfs.numModes());
-    CorePowerModel power(pwrParams, dvfs);
-    PrivateL2 l2(cfg);
-    MemorySystem mem(cfg, l2);
-    SynthGenerator gen(spec, length_scale);
-    OooCore core(cfg, mem, gen, dvfs.frequency(m));
-
-    ModeProfile mp;
-    mp.chunkInsts = chunk_insts;
-    mp.lastChunkInsts = chunk_insts;
-    for (;;) {
-        CoreRunResult r = core.run(chunk_insts);
-        if (r.instructions == 0)
-            break;
-        ChunkRecord c;
-        c.timePs = r.elapsedPs;
-        c.energyJ = power.energy(r.activity, m);
-        c.l2Accesses =
-            static_cast<std::uint32_t>(r.activity.l2Accesses);
-        c.l2Misses =
-            static_cast<std::uint32_t>(r.activity.l2Misses);
-        mp.chunks.push_back(c);
-        if (r.streamEnded || r.instructions < chunk_insts) {
-            mp.lastChunkInsts = r.instructions;
-            break;
-        }
-    }
-    return mp;
-}
-
-void
-Profiler::checkModeConsistency(const WorkloadProfile &p)
-{
-    for (const ModeProfile &mp : p.modes) {
-        // All modes time the same instruction stream.
-        GPM_ASSERT(mp.chunks.size() ==
-                   p.modes.front().chunks.size());
-        GPM_ASSERT(mp.totalInsts() == p.modes.front().totalInsts());
-    }
-}
-
 WorkloadProfile
 Profiler::profileWorkload(const WorkloadSpec &spec,
                           double length_scale,
                           std::uint64_t chunk_insts) const
 {
     GPM_ASSERT(chunk_insts > 0);
+    const std::size_t n_modes = dvfs.numModes();
+    CorePowerModel power(pwrParams, dvfs);
+    PrivateL2 l2(cfg);
+    MemorySystem mem(cfg, l2);
+    SynthGenerator gen(spec, length_scale);
+    // One op stream, one cache / predictor pass: PrivateL2 ignores
+    // request times, so each op's accesses and activity are the same
+    // at every clock and only the timing is per mode.
+    OpResolver ops(cfg, mem);
+    std::vector<CoreTiming> timing;
+    std::vector<std::uint64_t> chunkStartPs(n_modes, 0);
     WorkloadProfile result;
     result.name = spec.name;
-    for (std::size_t mi = 0; mi < dvfs.numModes(); mi++)
-        result.modes.push_back(
-            profileMode(spec, static_cast<PowerMode>(mi),
-                        length_scale, chunk_insts));
-    checkModeConsistency(result);
+    result.modes.resize(n_modes);
+    const std::uint64_t n_chunks =
+        (gen.totalInsts() + chunk_insts - 1) / chunk_insts;
+    for (std::size_t mi = 0; mi < n_modes; mi++) {
+        timing.emplace_back(cfg,
+                            dvfs.frequency(static_cast<PowerMode>(mi)));
+        result.modes[mi].chunkInsts = chunk_insts;
+        result.modes[mi].lastChunkInsts = chunk_insts;
+        result.modes[mi].chunks.reserve(n_chunks);
+    }
+
+    // Close the chunk of @p insts ops at every mode.
+    auto cut = [&](std::uint64_t insts) {
+        for (std::size_t mi = 0; mi < n_modes; mi++) {
+            const CoreTiming &t = timing[mi];
+            ActivitySample a = ops.act;
+            ChunkRecord c;
+            c.timePs = t.nowPs() - chunkStartPs[mi];
+            chunkStartPs[mi] = t.nowPs();
+            a.cycles = c.timePs / t.periodPs();
+            c.energyJ = power.energy(a, static_cast<PowerMode>(mi));
+            c.l2Accesses = static_cast<std::uint32_t>(a.l2Accesses);
+            c.l2Misses = static_cast<std::uint32_t>(a.l2Misses);
+            result.modes[mi].chunks.push_back(c);
+            result.modes[mi].lastChunkInsts = insts;
+        }
+        ops.act.reset();
+    };
+
+    MicroOp op;
+    std::uint64_t n = 0;
+    while (gen.next(op)) {
+        const ResolvedOp r = ops.resolve(op);
+        for (CoreTiming &t : timing)
+            t.step(op, r);
+        if (++n == chunk_insts) {
+            cut(n);
+            n = 0;
+        }
+    }
+    if (n > 0)
+        cut(n);
     return result;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Profiler: runs the detailed core model over a workload once per
+ * Profiler: times a workload on the detailed core model at every
  * DVFS mode and emits a WorkloadProfile (the single-threaded Turandot
  * runs of the paper's methodology).
  */
@@ -40,7 +40,7 @@ class Profiler
 {
   public:
     /**
-     * @param dvfs   mode table: one profiling run per mode
+     * @param dvfs   mode table: the modes every profile is timed at
      * @param cfg    core configuration (Table 1 defaults)
      * @param pwr    power-model parameters
      */
@@ -49,7 +49,11 @@ class Profiler
                       CorePowerParams pwr = CorePowerParams::classic());
 
     /**
-     * Profile @p spec at every mode.
+     * Profile @p spec at every mode. One op stream passes once
+     * through one cache hierarchy and branch predictor; each op's
+     * outcome is then timed at every mode in lockstep, and chunks
+     * are cut at the same instruction counts for all of them.
+     * Equal, bit for bit, to an OooCore run per mode.
      *
      * @param length_scale scales the workload length (tests use < 1)
      * @param chunk_insts  instructions per chunk
@@ -57,26 +61,6 @@ class Profiler
     WorkloadProfile profileWorkload(
         const WorkloadSpec &spec, double length_scale = 1.0,
         std::uint64_t chunk_insts = defaultChunkInsts) const;
-
-    /**
-     * Profile @p spec at one mode. Each mode's run is an independent
-     * deterministic simulation over the same instruction stream, so
-     * (workload x mode) runs can be fanned out across threads and
-     * assembled into a WorkloadProfile identical to a serial
-     * profileWorkload() — see checkModeConsistency().
-     */
-    ModeProfile profileMode(
-        const WorkloadSpec &spec, PowerMode m,
-        double length_scale = 1.0,
-        std::uint64_t chunk_insts = defaultChunkInsts) const;
-
-    /**
-     * Assert the cross-mode invariants profileWorkload() guarantees:
-     * every mode timed the same instruction stream (equal chunk
-     * counts and totals). Used by callers that assemble profiles
-     * from independently built ModeProfiles.
-     */
-    static void checkModeConsistency(const WorkloadProfile &p);
 
     /** Summarize a built profile (power/perf vs Turbo per mode). */
     ProfileSummary summarize(const WorkloadProfile &p) const;

@@ -44,6 +44,7 @@ SynthGenerator::SynthGenerator(const WorkloadSpec &spec_,
                 static_cast<double>(ph.lengthInsts) * scale));
     }
     phaseLeft = spec.phases[0].lengthInsts;
+    depDist = GeometricDist(spec.phases[0].depP);
 
     // Stable per-site branch direction biases.
     for (auto &b : siteBias) {
@@ -57,6 +58,7 @@ SynthGenerator::nextPhase()
 {
     phaseIdx = (phaseIdx + 1) % spec.phases.size();
     phaseLeft = spec.phases[phaseIdx].lengthInsts;
+    depDist = GeometricDist(spec.phases[phaseIdx].depP);
 }
 
 std::uint64_t
@@ -126,7 +128,7 @@ SynthGenerator::next(MicroOp &op)
     // Register dependences: distance 1 + Geometric(depP), bounded by
     // the encodable range.
     auto draw_dep = [&]() -> std::uint8_t {
-        std::uint32_t d = 1 + rng.geometric(ph.depP);
+        std::uint32_t d = 1 + depDist(rng);
         return static_cast<std::uint8_t>(std::min<std::uint32_t>(d, 63));
     };
 

@@ -70,6 +70,8 @@ class SynthGenerator : public OpSource
 
     std::size_t phaseIdx = 0;
     std::uint64_t phaseLeft;
+    /** Dependence-distance draw of the current phase. */
+    GeometricDist depDist;
 
     std::uint64_t pc;
     static constexpr std::size_t numStreams = 4;

@@ -112,6 +112,10 @@ struct WorkloadSpec
     std::vector<PhaseSpec> phases;
 };
 
+/** Accepted workload length scales (--scale, GPM_SCALE). */
+constexpr double minLengthScale = 1e-6;
+constexpr double maxLengthScale = 1e6;
+
 /**
  * The 12-benchmark SPEC CPU2000 stand-in suite used throughout the
  * paper's evaluation: ammp, art, mcf, crafty, facerec, gcc, mesa,

@@ -1,17 +1,104 @@
 #include "core.hh"
 
-#include <algorithm>
-
-#include "util/logging.hh"
-
 namespace gpm
 {
 
-OooCore::OooCore(const CoreConfig &cfg_, MemorySystem &mem_,
-                 OpSource &src_, Hertz freq_)
-    : cfg(cfg_), mem(mem_), src(src_), bpred(cfg_.bpredEntries),
-      freq(freq_),
-      periodPs(static_cast<std::uint64_t>(psPerSecond / freq_ + 0.5)),
+namespace
+{
+
+std::uint64_t
+ns2ps(double ns)
+{
+    return static_cast<std::uint64_t>(ns * 1e3 + 0.5);
+}
+
+double
+ps2ns(std::uint64_t ps)
+{
+    return static_cast<double>(ps) * 1e-3;
+}
+
+std::uint64_t
+periodOf(Hertz f)
+{
+    GPM_ASSERT(f > 0.0);
+    return static_cast<std::uint64_t>(psPerSecond / f + 0.5);
+}
+
+} // namespace
+
+OpResolver::OpResolver(const CoreConfig &cfg, MemorySystem &mem_)
+    : mem(mem_), bpred(cfg.bpredEntries)
+{
+}
+
+std::uint64_t
+OpResolver::fetch(const MicroOp &op, double time_ns)
+{
+    act.fetched++;
+    act.dispatched++;
+    act.issued++;
+    act.committed++;
+    switch (op.cls) {
+      case OpClass::IntAlu:
+      case OpClass::IntMul:
+        act.fxuOps++;
+        break;
+      case OpClass::FpAlu:
+      case OpClass::FpMul:
+      case OpClass::FpDiv:
+        act.fpuOps++;
+        break;
+      case OpClass::Branch:
+        act.branches++;
+        break;
+      case OpClass::Load:
+      case OpClass::Store:
+        act.lsuOps++;
+        act.l1dAccesses++;
+        break;
+      default:
+        panic("OpResolver: bad op class %d", static_cast<int>(op.cls));
+    }
+
+    std::uint64_t block = op.pc / mem.blockBytes();
+    if (block == curFetchBlock)
+        return 0;
+    curFetchBlock = block;
+    auto r = mem.instFetch(op.pc, time_ns);
+    act.l1iAccesses++;
+    if (r.l1Hit)
+        return 0;
+    act.l2Accesses++;
+    if (r.offChip)
+        act.l2Misses++;
+    return ns2ps(r.beyondL1Ns);
+}
+
+DataOutcome
+OpResolver::data(const MicroOp &op, double time_ns)
+{
+    auto r = mem.dataAccess(op.addr, op.cls == OpClass::Store, time_ns);
+    if (r.l1Hit)
+        return {};
+    act.l2Accesses++;
+    if (r.offChip)
+        act.l2Misses++;
+    return {false, ns2ps(r.beyondL1Ns)};
+}
+
+bool
+OpResolver::mispredicted(const MicroOp &op)
+{
+    if (bpred.predictAndUpdate(op.pc, op.taken))
+        return false;
+    // Wrong-path fetch activity (power only).
+    act.fetched += 6;
+    return true;
+}
+
+CoreTiming::CoreTiming(const CoreConfig &cfg_, Hertz freq_)
+    : cfg(cfg_), freq(freq_), period(periodOf(freq_)),
       fetchRing(cfg_.fetchWidth), dispRing(cfg_.dispatchWidth),
       commitWidthRing(cfg_.dispatchWidth), windowRing(cfg_.windowSize),
       rsRings{TimeRing(cfg_.rsMem), TimeRing(cfg_.rsFix),
@@ -28,62 +115,26 @@ OooCore::OooCore(const CoreConfig &cfg_, MemorySystem &mem_,
 }
 
 void
-OooCore::setFrequency(Hertz f)
+CoreTiming::setFrequency(Hertz f)
 {
-    GPM_ASSERT(f > 0.0);
+    period = periodOf(f);
     freq = f;
-    periodPs = static_cast<std::uint64_t>(psPerSecond / f + 0.5);
 }
 
-OooCore::Cluster
-OooCore::clusterOf(OpClass c)
+void
+CoreTiming::stallUntilPs(std::uint64_t t_ps)
 {
-    switch (c) {
-      case OpClass::Load:
-      case OpClass::Store:
-        return ClMem;
-      case OpClass::FpAlu:
-      case OpClass::FpMul:
-      case OpClass::FpDiv:
-        return ClFp;
-      default:
-        return ClFix;
-    }
+    if (t_ps <= lastCommit)
+        return;
+    redirectPs = std::max(redirectPs, t_ps);
+    lastCommit = t_ps;
+    lastDispatch = std::max(lastDispatch, t_ps);
 }
 
-OooCore::FuGroup
-OooCore::groupOf(OpClass c)
+OooCore::OooCore(const CoreConfig &cfg, MemorySystem &mem,
+                 OpSource &src_, Hertz freq)
+    : src(src_), ops(cfg, mem), timing(cfg, freq)
 {
-    switch (c) {
-      case OpClass::Load:
-      case OpClass::Store:
-        return FuLsu;
-      case OpClass::FpAlu:
-      case OpClass::FpMul:
-      case OpClass::FpDiv:
-        return FuFpu;
-      case OpClass::Branch:
-        return FuBru;
-      default:
-        return FuFxu;
-    }
-}
-
-OooCore::RegClass
-OooCore::destClassOf(OpClass c)
-{
-    switch (c) {
-      case OpClass::IntAlu:
-      case OpClass::IntMul:
-      case OpClass::Load:
-        return RegGpr;
-      case OpClass::FpAlu:
-      case OpClass::FpMul:
-      case OpClass::FpDiv:
-        return RegFpr;
-      default:
-        return RegNone;
-    }
 }
 
 bool
@@ -94,199 +145,61 @@ OooCore::step()
         exhausted = true;
         return false;
     }
-
-    const std::uint64_t p = periodPs;
-    std::uint64_t i = seq++;
-
-    // ---- Fetch --------------------------------------------------
-    std::uint64_t ft =
-        std::max(fetchRing.oldest() + p, redirectPs);
-    std::uint64_t block = op.pc / mem.blockBytes();
-    if (block != curFetchBlock) {
-        curFetchBlock = block;
-        auto r = mem.instFetch(op.pc, ps2ns(ft));
-        act.l1iAccesses++;
-        if (!r.l1Hit) {
-            ft += ns2ps(r.beyondL1Ns);
-            if (r.offChip)
-                act.l2Misses++;
-            act.l2Accesses++;
+    // Accesses go out at the times the timing reaches them: a shared
+    // L2 arbitrates by request time.
+    struct Live
+    {
+        OpResolver &ops;
+        const MicroOp &op;
+        std::uint64_t
+        fetch(std::uint64_t t)
+        {
+            return ops.fetch(op, ps2ns(t));
         }
-    }
-    fetchRing.push(ft);
-    act.fetched++;
-
-    // ---- Dispatch -----------------------------------------------
-    std::uint64_t dt = ft + cfg.frontendDelay * p;
-    dt = std::max(dt, dispRing.oldest() + p);
-    dt = std::max(dt, lastDispatch);
-    dt = std::max(dt, windowRing.oldest());
-    Cluster cl = clusterOf(op.cls);
-    dt = std::max(dt, rsRings[cl].oldest());
-    RegClass rc = destClassOf(op.cls);
-    if (rc != RegNone)
-        dt = std::max(dt, regRings[rc].oldest());
-    lastDispatch = dt;
-    dispRing.push(dt);
-    act.dispatched++;
-
-    // ---- Ready (register dependences) ---------------------------
-    std::uint64_t rt = dt + p;
-    if (op.depA) {
-        std::uint64_t j = (i - op.depA) & (cfg.windowSize - 1);
-        rt = std::max(rt, completeHist[j]);
-    }
-    if (op.depB) {
-        std::uint64_t j = (i - op.depB) & (cfg.windowSize - 1);
-        rt = std::max(rt, completeHist[j]);
-    }
-
-    // ---- Issue --------------------------------------------------
-    FuGroup g = groupOf(op.cls);
-    auto &frees = fuFree[g];
-    std::size_t k = 0;
-    for (std::size_t u = 1; u < frees.size(); u++)
-        if (frees[u] < frees[k])
-            k = u;
-    std::uint64_t it = std::max(rt, frees[k]);
-
-    std::uint64_t lat = 0;
-    std::uint64_t occupancy = p;
-    switch (op.cls) {
-      case OpClass::IntAlu:
-        lat = cfg.latIntAlu * p;
-        act.fxuOps++;
-        break;
-      case OpClass::IntMul:
-        lat = cfg.latIntMul * p;
-        act.fxuOps++;
-        break;
-      case OpClass::FpAlu:
-        lat = cfg.latFpAlu * p;
-        act.fpuOps++;
-        break;
-      case OpClass::FpMul:
-        lat = cfg.latFpMul * p;
-        act.fpuOps++;
-        break;
-      case OpClass::FpDiv:
-        lat = cfg.latFpDiv * p;
-        occupancy = lat;
-        act.fpuOps++;
-        break;
-      case OpClass::Branch:
-        lat = cfg.latBranch * p;
-        act.branches++;
-        break;
-      case OpClass::Load: {
-        act.lsuOps++;
-        act.l1dAccesses++;
-        auto r = mem.dataAccess(op.addr, false, ps2ns(it));
-        if (r.l1Hit) {
-            lat = (cfg.latAgen + cfg.l1LatCycles) * p;
-        } else {
-            it = std::max(it, mshrRing.oldest());
-            lat = cfg.latAgen * p + ns2ps(r.beyondL1Ns);
-            mshrRing.push(it + lat);
-            act.l2Accesses++;
-            if (r.offChip)
-                act.l2Misses++;
+        DataOutcome
+        data(std::uint64_t t)
+        {
+            return ops.data(op, ps2ns(t));
         }
-        break;
-      }
-      case OpClass::Store: {
-        act.lsuOps++;
-        act.l1dAccesses++;
-        auto r = mem.dataAccess(op.addr, true, ps2ns(it));
-        // Stores retire through the store queue: short completion,
-        // but a miss still occupies an MSHR and generates traffic.
-        lat = p;
-        if (!r.l1Hit) {
-            it = std::max(it, mshrRing.oldest());
-            mshrRing.push(it + ns2ps(r.beyondL1Ns));
-            act.l2Accesses++;
-            if (r.offChip)
-                act.l2Misses++;
-        }
-        break;
-      }
-      default:
-        panic("OooCore: bad op class %d", static_cast<int>(op.cls));
-    }
-
-    frees[k] = it + occupancy;
-    rsRings[cl].push(it);
-    act.issued++;
-
-    // ---- Complete -----------------------------------------------
-    std::uint64_t ct = it + lat;
-    completeHist[i & (cfg.windowSize - 1)] = ct;
-
-    if (op.cls == OpClass::Branch) {
-        bool correct = bpred.predictAndUpdate(op.pc, op.taken);
-        if (!correct) {
-            redirectPs =
-                std::max(redirectPs, ct + cfg.redirectPenalty * p);
-            // Wrong-path fetch activity (power only).
-            act.fetched += 6;
-        }
-    }
-
-    // ---- Commit -------------------------------------------------
-    std::uint64_t cmt = std::max(ct, lastCommit);
-    cmt = std::max(cmt, commitWidthRing.oldest() + p);
-    lastCommit = cmt;
-    commitWidthRing.push(cmt);
-    windowRing.push(cmt);
-    if (rc != RegNone)
-        regRings[rc].push(cmt);
-    act.committed++;
+        bool mispredicted() { return ops.mispredicted(op); }
+    };
+    timing.step(op, Live{ops, op});
     totalInsts++;
     return true;
 }
 
 CoreRunResult
-OooCore::run(std::uint64_t max_insts)
+OooCore::finish(std::uint64_t n, std::uint64_t start_ps)
 {
     CoreRunResult res;
-    act.reset();
-    runStartPs = lastCommit;
-    std::uint64_t n = 0;
-    while (n < max_insts && step())
-        n++;
     res.instructions = n;
-    res.elapsedPs = lastCommit - runStartPs;
-    act.cycles = res.elapsedPs / periodPs;
-    res.activity = act;
+    res.elapsedPs = timing.nowPs() - start_ps;
+    ops.act.cycles = res.elapsedPs / timing.periodPs();
+    res.activity = ops.act;
     res.streamEnded = exhausted;
     return res;
 }
 
 CoreRunResult
-OooCore::runUntilPs(std::uint64_t t_ps)
+OooCore::run(std::uint64_t max_insts)
 {
-    CoreRunResult res;
-    act.reset();
-    runStartPs = lastCommit;
+    ops.act.reset();
+    const std::uint64_t start = timing.nowPs();
     std::uint64_t n = 0;
-    while (lastCommit < t_ps && step())
+    while (n < max_insts && step())
         n++;
-    res.instructions = n;
-    res.elapsedPs = lastCommit - runStartPs;
-    act.cycles = res.elapsedPs / periodPs;
-    res.activity = act;
-    res.streamEnded = exhausted;
-    return res;
+    return finish(n, start);
 }
 
-void
-OooCore::stallUntilPs(std::uint64_t t_ps)
+CoreRunResult
+OooCore::runUntilPs(std::uint64_t t_ps)
 {
-    if (t_ps <= lastCommit)
-        return;
-    redirectPs = std::max(redirectPs, t_ps);
-    lastCommit = t_ps;
-    lastDispatch = std::max(lastDispatch, t_ps);
+    ops.act.reset();
+    const std::uint64_t start = timing.nowPs();
+    std::uint64_t n = 0;
+    while (timing.nowPs() < t_ps && step())
+        n++;
+    return finish(n, start);
 }
 
 } // namespace gpm

@@ -28,6 +28,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace gpm
 {
 
@@ -104,6 +106,26 @@ class FlagSet
     void parse(int argc, char **argv);
 
     bool helpRequested() const { return help; }
+
+    /**
+     * Environment variable @p var read with a flag's parse and range
+     * check: @p fallback when unset or empty, else its value; a value
+     * that is not a number in [lo, hi] exits 1 via fatal() with a
+     * message naming @p var.
+     */
+    template <typename T>
+    static T
+    envNumber(const char *var, T lo, T hi, T fallback)
+    {
+        const char *s = std::getenv(var);
+        if (!s || !*s)
+            return fallback;
+        T v = fallback;
+        std::string err = parseNumber(s, lo, hi, v);
+        if (!err.empty())
+            fatal("%s: %s", var, err.c_str());
+        return v;
+    }
 
     /** The synopsis plus one aligned, word-wrapped entry per flag. */
     std::string usage() const;

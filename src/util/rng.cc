@@ -16,36 +16,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 }
 
 std::uint32_t
-Rng::next32()
-{
-    std::uint64_t old = state;
-    state = old * 6364136223846793005ULL + inc;
-    std::uint32_t xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
-}
-
-std::uint64_t
-Rng::next64()
-{
-    return (static_cast<std::uint64_t>(next32()) << 32) | next32();
-}
-
-double
-Rng::uniform()
-{
-    // 53-bit mantissa from a 64-bit draw.
-    return static_cast<double>(next64() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint32_t
 Rng::below(std::uint32_t n)
 {
     GPM_ASSERT(n > 0);
@@ -69,27 +39,27 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(r);
 }
 
-bool
-Rng::chance(double p)
+std::uint32_t
+Rng::geometric(double p)
 {
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
+    return GeometricDist(p)(*this);
+}
+
+GeometricDist::GeometricDist(double p_) : p(p_), log1mP(std::log1p(-p_))
+{
 }
 
 std::uint32_t
-Rng::geometric(double p)
+GeometricDist::operator()(Rng &rng) const
 {
     GPM_ASSERT(p > 0.0 && p <= 1.0);
     if (p >= 1.0)
         return 0;
-    double u = uniform();
+    double u = rng.uniform();
     // Inverse CDF; clamp to avoid log(0).
     if (u <= 0.0)
         u = 1e-18;
-    double v = std::log(u) / std::log1p(-p);
+    double v = std::log(u) / log1mP;
     if (v > 4.0e9)
         v = 4.0e9;
     return static_cast<std::uint32_t>(v);

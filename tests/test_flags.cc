@@ -1,5 +1,6 @@
 /** @file The table-driven flag parser shared by gpmd, gpm-router
- *  and gpmctl (util/flags.hh), and the HOST:PORT list parser shared
+ *  and gpmctl (util/flags.hh) and its environment-number reader,
+ *  and the HOST:PORT list parser shared
  *  by gpm-router --backends and gpmctl --host (service/net.hh).
  *  Everything runs in-process: no daemon is started with the
  *  rejected values. */
@@ -7,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "service/net.hh"
+#include "trace/workload.hh"
 #include "util/flags.hh"
 
 namespace gpm
@@ -125,6 +128,32 @@ TEST(FlagSet, RejectsOutOfRangeAndNonNumericValues)
         EXPECT_EQ(d.workers, 2u);
         EXPECT_FALSE(d.metricsPort.has_value());
     }
+}
+
+TEST(FlagSet, EnvNumberIsRangeCheckedLikeAFlag)
+{
+    // GPM_SCALE used to go through atof with a silent 1.0 fallback,
+    // so a typo ("abc", "0", "-1") selected full-scale profiling.
+    auto scale = [] {
+        return FlagSet::envNumber("GPM_SCALE", minLengthScale,
+                                  maxLengthScale, 1.0);
+    };
+    ::unsetenv("GPM_SCALE");
+    EXPECT_EQ(scale(), 1.0);
+    ::setenv("GPM_SCALE", "", 1);
+    EXPECT_EQ(scale(), 1.0);
+    ::setenv("GPM_SCALE", "0.05", 1);
+    EXPECT_EQ(scale(), 0.05);
+    ::setenv("GPM_SCALE", "2e-3", 1);
+    EXPECT_EQ(scale(), 2e-3);
+    for (const char *bad :
+         {"abc", "0", "-1", "1e7", "nan", "0.5x", " 0.5"}) {
+        ::setenv("GPM_SCALE", bad, 1);
+        EXPECT_EXIT(scale(), ::testing::ExitedWithCode(1),
+                    "fatal: GPM_SCALE: '")
+            << bad;
+    }
+    ::unsetenv("GPM_SCALE");
 }
 
 TEST(FlagSet, FloatsAcceptExponents)

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "trace/profiler.hh"
+#include "trace/synth_generator.hh"
 #include "trace/workload.hh"
+#include "uarch/core.hh"
+#include "uarch/memory.hh"
 
 namespace gpm
 {
@@ -110,6 +117,117 @@ TEST_F(ProfilerTest, MemoryBoundHasLowerPower)
     EXPECT_GT(cpu.at(modes::Turbo).avgPowerW(),
               mem.at(modes::Turbo).avgPowerW() * 1.4);
 }
+
+// ---------------------------------------------------------------
+// Lockstep profiling equals one OooCore run per mode, bit for bit
+// ---------------------------------------------------------------
+
+/** The per-mode reference: the public OooCore + SynthGenerator +
+ *  PrivateL2 API run once per mode, chunked by OooCore::run(). */
+ModeProfile
+referenceMode(const WorkloadSpec &spec, const DvfsTable &dvfs,
+              PowerMode m, double scale, std::uint64_t chunk)
+{
+    CoreConfig cfg;
+    CorePowerModel power(CorePowerParams::classic(), dvfs);
+    PrivateL2 l2(cfg);
+    MemorySystem mem(cfg, l2);
+    SynthGenerator gen(spec, scale);
+    OooCore core(cfg, mem, gen, dvfs.frequency(m));
+    ModeProfile mp;
+    mp.chunkInsts = chunk;
+    mp.lastChunkInsts = chunk;
+    for (;;) {
+        CoreRunResult r = core.run(chunk);
+        if (r.instructions == 0)
+            break;
+        ChunkRecord c;
+        c.timePs = r.elapsedPs;
+        c.energyJ = power.energy(r.activity, m);
+        c.l2Accesses = static_cast<std::uint32_t>(r.activity.l2Accesses);
+        c.l2Misses = static_cast<std::uint32_t>(r.activity.l2Misses);
+        mp.chunks.push_back(c);
+        if (r.streamEnded || r.instructions < chunk) {
+            mp.lastChunkInsts = r.instructions;
+            break;
+        }
+    }
+    return mp;
+}
+
+class LockstepProfileTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(LockstepProfileTest, MatchesOneCoreRunPerModeBitwise)
+{
+    constexpr double scale = 0.01;
+    const WorkloadSpec &spec = workload(GetParam());
+    const std::uint64_t total = SynthGenerator(spec, scale).totalInsts();
+    struct Case
+    {
+        DvfsTable dvfs;
+        std::uint64_t chunk;
+    };
+    // At this scale most streams are a whole number of 5 000- and
+    // 10 000-op chunks (lastChunkInsts == chunkInsts) and art's is
+    // not; 7 000 leaves a short last chunk almost everywhere. The
+    // 5-mode table is the one the many-core and ablation benches use.
+    const Case cases[] = {{DvfsTable::classic3(), 5'000},
+                          {DvfsTable::classic3(), 10'000},
+                          {DvfsTable::linear(5), 7'000}};
+    for (const Case &c : cases) {
+        Profiler prof(c.dvfs);
+        WorkloadProfile p = prof.profileWorkload(spec, scale, c.chunk);
+        ASSERT_EQ(p.name, spec.name);
+        ASSERT_EQ(p.modes.size(), c.dvfs.numModes());
+        const std::uint64_t tail = total % c.chunk;
+        for (std::size_t mi = 0; mi < p.modes.size(); mi++) {
+            SCOPED_TRACE("chunk " + std::to_string(c.chunk) + ", mode " +
+                         std::to_string(mi) + " of " +
+                         std::to_string(p.modes.size()));
+            const ModeProfile &got = p.modes[mi];
+            ModeProfile want =
+                referenceMode(spec, c.dvfs, static_cast<PowerMode>(mi),
+                              scale, c.chunk);
+            EXPECT_EQ(got.chunkInsts, want.chunkInsts);
+            EXPECT_EQ(got.lastChunkInsts, want.lastChunkInsts);
+            EXPECT_EQ(got.lastChunkInsts, tail ? tail : c.chunk);
+            EXPECT_EQ(got.totalInsts(), total);
+            ASSERT_EQ(got.chunks.size(), want.chunks.size());
+            for (std::size_t k = 0; k < got.chunks.size(); k++) {
+                const ChunkRecord &x = got.chunks[k], &y = want.chunks[k];
+                EXPECT_EQ(std::memcmp(&x.timePs, &y.timePs,
+                                      sizeof x.timePs), 0)
+                    << "chunk " << k;
+                EXPECT_EQ(std::memcmp(&x.energyJ, &y.energyJ,
+                                      sizeof x.energyJ), 0)
+                    << "chunk " << k;
+                EXPECT_EQ(std::memcmp(&x.l2Accesses, &y.l2Accesses,
+                                      sizeof x.l2Accesses), 0)
+                    << "chunk " << k;
+                EXPECT_EQ(std::memcmp(&x.l2Misses, &y.l2Misses,
+                                      sizeof x.l2Misses), 0)
+                    << "chunk " << k;
+            }
+        }
+    }
+}
+
+std::vector<std::string>
+suiteNames()
+{
+    std::vector<std::string> names;
+    for (const WorkloadSpec &w : spec2000Suite())
+        names.push_back(w.name);
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, LockstepProfileTest, ::testing::ValuesIn(suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &i) {
+        return i.param;
+    });
 
 } // namespace
 } // namespace gpm

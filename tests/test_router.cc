@@ -184,7 +184,7 @@ class RouterTest : public ::testing::Test
         auto listener = TcpListener::listenOn("127.0.0.1", 0);
         ASSERT_TRUE(listener.ok()) << listener.error();
         router = std::make_unique<GpmRouter>(
-            eps, std::move(listener.value()), opts);
+            eps, std::move(listener.value()), opts, transport);
         routerPort = router->port();
         routerThread = std::thread([this] { router->run(); });
     }
@@ -269,10 +269,45 @@ class RouterTest : public ::testing::Test
     std::unique_ptr<GpmServer> servers[nBackends];
     std::thread threads[nBackends];
     std::uint16_t ports[nBackends] = {0, 0};
+    /** The router's client-side transport options. */
+    ReactorOptions transport;
     std::unique_ptr<GpmRouter> router;
     std::uint16_t routerPort = 0;
     std::thread routerThread;
 };
+
+/** A router whose client-side line cap is below one gpmd result. */
+class RouterSmallLineCapTest : public RouterTest
+{
+  protected:
+    static constexpr std::size_t cap = 300;
+    RouterSmallLineCapTest() { transport.maxLineBytes = cap; }
+};
+
+TEST_F(RouterSmallLineCapTest, ProxiesResultsLongerThanClientLineCap)
+{
+    const std::string submit =
+        R"({"id": "x", "verb": "submit", "scenario": )" +
+        scenarioLine(0.8) + "}";
+    ASSERT_LT(submit.size(), cap);
+
+    // Twice: the backend channel must survive the long response.
+    TcpStream c = connectTo(routerPort);
+    for (int k = 0; k < 2; k++) {
+        std::string response = roundTrip(c, submit);
+        EXPECT_GT(response.size(), cap);
+        json::Value routed = parseOk(response);
+        ASSERT_TRUE(routed.find("ok")->asBool()) << response;
+        ASSERT_TRUE(routed.find("result"));
+    }
+    RouterStats st = router->stats();
+    EXPECT_EQ(st.backendFailures, 0u);
+    EXPECT_EQ(st.rerouted, 0u);
+    for (const RouterBackendStats &b : st.backends) {
+        EXPECT_TRUE(b.live) << b.name;
+        EXPECT_EQ(b.breakerOpens, 0u) << b.name;
+    }
+}
 
 TEST_F(RouterTest, PingAndStatsAnswerLocally)
 {
