@@ -28,8 +28,9 @@
 # resubmits through the router, a SIGKILLed backend failing over
 # to the survivor with zero gpmctl failures, clean router drain),
 # then a ThreadSanitizer build
-# running the concurrency-sensitive tests (thread pool + sweep
-# determinism) and the same smokes under TSan. The TSan stage can be
+# running the concurrency-sensitive tests (thread pool, sweep
+# determinism, profile store, router) and the same smokes under
+# TSan. The TSan stage can be
 # skipped with GPM_SKIP_TSAN=1 (e.g. on toolchains without libtsan).
 #
 # Usage: scripts/tier1.sh [build-dir]
@@ -820,13 +821,15 @@ if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
     exit 0
 fi
 
-echo "== tier-1: ThreadSanitizer build (pool + sweep tests) =="
+echo "== tier-1: ThreadSanitizer build (pool, sweep, store, router tests) =="
 cmake -B "$BUILD-tsan" -S . -DGPM_SANITIZE=thread -DGPM_WERROR=ON
 cmake --build "$BUILD-tsan" -j --target gpm_tests gpmd gpmctl gpm-router
 # Profile building under TSan is slow; the sweep tests rebuild their
 # small-scale profiles on first use, so give them a large timeout.
+# The router tests cover its coalesced backend writes (reactor
+# threads queue, backend reader threads sweep).
 "$BUILD-tsan/tests/gpm_tests" \
-    --gtest_filter='ThreadPool.*:SweepTest.*:ProfileStoreTest.*'
+    --gtest_filter='ThreadPool.*:SweepTest.*:ProfileStoreTest.*:RouterTest.*:RouterSmallLineCapTest.*'
 
 echo "== tier-1: flag-table smoke under TSan =="
 cli_flag_smoke "$BUILD-tsan"

@@ -1,15 +1,8 @@
 #include "router/router.hh"
 
-#include <arpa/inet.h>
 #include <cctype>
 #include <cerrno>
-#include <cstring>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 #include <unordered_map>
 
 #include "service/prom.hh"
@@ -46,17 +39,20 @@ struct GpmRouter::Pending
     int attempts = 0;
 };
 
-/** One pooled connection to a backend. The fd is written under
- *  mtx (serializing request lines); a dedicated reader thread
- *  owns the receive side and the close. */
+/** One pooled connection to a backend. The stream is written
+ *  under mtx (serializing request lines); a dedicated reader
+ *  thread owns the receive side and the close. */
 struct GpmRouter::Channel
 {
     std::mutex mtx;
     std::condition_variable cv;
-    int fd = -1;
+    TcpStream stream;
     /** Bumped per (re)connect so a sweep only claims pendings
      *  written to the connection that actually died. */
     std::uint64_t gen = 0;
+    /** Request lines registered on this generation but not yet
+     *  written: a reactor pass's lines, sent at its end. */
+    std::string out;
     std::thread reader;
 };
 
@@ -95,80 +91,6 @@ namespace
  *  many-core sweep) is routinely longer than a request and comes
  *  from a trusted peer, so it gets this fixed, generous bound. */
 constexpr std::size_t kMaxBackendLineBytes = std::size_t{64} << 20;
-
-// ---------------------------------------------------------------
-// Socket helpers (raw fds: the pooled connections are shared
-// between writer threads and a reader thread, which TcpStream's
-// owning model does not fit)
-// ---------------------------------------------------------------
-
-/** Blocking-mode connected socket, or -1. The connect itself is
- *  bounded by @p timeoutMs so one unreachable backend cannot
- *  stall a dispatch. */
-int
-connectFd(const std::string &host, std::uint16_t port,
-          int timeoutMs, int sendTimeoutMs)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return -1;
-    }
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    int rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                       sizeof(addr));
-    if (rc != 0 && errno != EINPROGRESS) {
-        ::close(fd);
-        return -1;
-    }
-    if (rc != 0) {
-        pollfd p{fd, POLLOUT, 0};
-        if (::poll(&p, 1, timeoutMs > 0 ? timeoutMs : 1000) <= 0) {
-            ::close(fd);
-            return -1;
-        }
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) !=
-                0 ||
-            err != 0) {
-            ::close(fd);
-            return -1;
-        }
-    }
-    ::fcntl(fd, F_SETFL, flags);
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (sendTimeoutMs > 0) {
-        timeval tv{};
-        tv.tv_sec = sendTimeoutMs / 1000;
-        tv.tv_usec = (sendTimeoutMs % 1000) * 1000;
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-    return fd;
-}
-
-bool
-writeAllFd(int fd, std::string_view data)
-{
-    while (!data.empty()) {
-        ssize_t n =
-            ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data.remove_prefix(static_cast<std::size_t>(n));
-    }
-    return true;
-}
 
 /** One scenario's error line: the client id spliced in as JSON
  *  text, plus "index" and "hash" when it answers a batch entry. */
@@ -232,6 +154,9 @@ GpmRouter::GpmRouter(std::vector<RouterEndpoint> endpoints,
 
 GpmRouter::~GpmRouter() { stopAndDrain(); }
 
+thread_local std::vector<GpmRouter::Channel *>
+    GpmRouter::unflushedChannels;
+
 void
 GpmRouter::drainWork()
 {
@@ -252,8 +177,7 @@ GpmRouter::drainWork()
     for (auto &b : backends)
         for (auto &ch : b->channels) {
             std::lock_guard<std::mutex> lock(ch->mtx);
-            if (ch->fd >= 0)
-                ::shutdown(ch->fd, SHUT_RDWR);
+            ch->stream.shutdownBoth();
             ch->cv.notify_all();
         }
     if (prober.joinable())
@@ -265,10 +189,7 @@ GpmRouter::drainWork()
     for (auto &b : backends)
         for (auto &ch : b->channels) {
             std::lock_guard<std::mutex> lock(ch->mtx);
-            if (ch->fd >= 0) {
-                ::close(ch->fd);
-                ch->fd = -1;
-            }
+            ch->stream.close();
         }
 }
 
@@ -328,7 +249,7 @@ GpmRouter::shedItems(const std::shared_ptr<ReactorConn> &conn,
 
 bool
 GpmRouter::sendUnit(std::size_t bIdx,
-                    const std::shared_ptr<Pending> &p)
+                    const std::shared_ptr<Pending> &p, bool coalesce)
 {
     Backend &b = *backends[bIdx];
     std::uint64_t s = seq.fetch_add(1, std::memory_order_relaxed);
@@ -350,16 +271,16 @@ GpmRouter::sendUnit(std::size_t bIdx,
                        b.channels.size();
     Channel &ch = *b.channels[cIdx];
     std::lock_guard<std::mutex> wlock(ch.mtx);
-    if (ch.fd < 0) {
-        int fd = connectFd(b.host, b.port,
-                           opts.backendConnectTimeoutMs,
-                           opts.backendWriteTimeoutMs);
-        if (fd < 0) {
+    if (!ch.stream.valid()) {
+        auto conn = TcpStream::connectTo(
+            b.host, b.port, opts.backendConnectTimeoutMs);
+        if (!conn.ok()) {
             b.breaker.recordFailure();
             backendFailures++;
             return false;
         }
-        ch.fd = fd;
+        ch.stream = std::move(conn.value());
+        ch.stream.setWriteTimeoutMs(opts.backendWriteTimeoutMs);
         ch.gen++;
         ch.cv.notify_all();
         b.breaker.recordSuccess();
@@ -373,11 +294,13 @@ GpmRouter::sendUnit(std::size_t bIdx,
         std::lock_guard<std::mutex> block(b.mtx);
         b.inflight[s] = p;
     }
-    if (!writeAllFd(ch.fd, wire)) {
-        // Leave the close to the reader (it owns the fd); shutdown
-        // wakes it into the orphan sweep, which will no longer
-        // find this pending — we answer for it by failing here.
-        ::shutdown(ch.fd, SHUT_RDWR);
+    if (ch.out.empty() && coalesce)
+        unflushedChannels.push_back(&ch);
+    ch.out += wire;
+    if (!coalesce && !flushLocked(ch)) {
+        // The reader's orphan sweep claims whatever else was
+        // buffered on this generation; we answer for this pending
+        // by failing here.
         {
             std::lock_guard<std::mutex> block(b.mtx);
             b.inflight.erase(s);
@@ -391,12 +314,39 @@ GpmRouter::sendUnit(std::size_t bIdx,
     return true;
 }
 
+bool
+GpmRouter::flushLocked(Channel &ch)
+{
+    if (ch.out.empty())
+        return true;
+    backendWrites++;
+    bool ok = ch.stream.writeAll(ch.out);
+    ch.out.clear();
+    if (!ok) {
+        // Leave the close to the reader (it owns the fd): shutdown
+        // wakes it into channelDown, whose orphan sweep re-routes
+        // every pending registered on this generation.
+        ch.stream.shutdownBoth();
+    }
+    return ok;
+}
+
+void
+GpmRouter::onBatchEnd()
+{
+    for (Channel *ch : unflushedChannels) {
+        std::lock_guard<std::mutex> lock(ch->mtx);
+        flushLocked(*ch);
+    }
+    unflushedChannels.clear();
+}
+
 void
 GpmRouter::dispatchItems(
     const std::shared_ptr<ReactorConn> &conn,
     const std::string &idDump, bool batch,
     std::vector<RouterItem> items, int attempts,
-    std::size_t exclude)
+    std::size_t exclude, bool coalesce)
 {
     if (attempts > opts.maxReroutes) {
         shedItems(conn, idDump, batch, items);
@@ -438,11 +388,11 @@ GpmRouter::dispatchItems(
         p->batch = batch;
         p->items = std::move(groups[bIdx]);
         p->attempts = attempts;
-        if (!sendUnit(bIdx, p)) {
+        if (!sendUnit(bIdx, p, coalesce)) {
             rerouted += p->items.size();
             dispatchItems(conn, idDump, batch,
                           std::move(p->items), attempts + 1,
-                          bIdx);
+                          bIdx, coalesce);
         }
     }
 }
@@ -710,11 +660,11 @@ GpmRouter::readerLoop(std::size_t bIdx, std::size_t cIdx)
             std::unique_lock<std::mutex> lock(ch.mtx);
             ch.cv.wait(lock, [&] {
                 return stopping.load(std::memory_order_acquire) ||
-                       ch.fd >= 0;
+                       ch.stream.valid();
             });
             if (stopping.load(std::memory_order_acquire))
                 return;
-            fd = ch.fd;
+            fd = ch.stream.fd();
             gen = ch.gen;
         }
         LineScanner scanner;
@@ -757,10 +707,12 @@ GpmRouter::channelDown(std::size_t bIdx, std::size_t cIdx,
     Channel &ch = *b.channels[cIdx];
     {
         std::lock_guard<std::mutex> lock(ch.mtx);
-        if (ch.gen != gen || ch.fd < 0)
+        if (ch.gen != gen || !ch.stream.valid())
             return; // already replaced
-        ::close(ch.fd);
-        ch.fd = -1;
+        ch.stream.close();
+        // Unsent lines belong to this generation's pendings, which
+        // the sweep below re-routes.
+        ch.out.clear();
     }
     b.breaker.recordFailure();
     backendFailures++;
@@ -798,7 +750,8 @@ GpmRouter::channelDown(std::size_t bIdx, std::size_t cIdx,
             continue;
         }
         dispatchItems(p->conn, p->idDump, p->batch,
-                      std::move(left), p->attempts + 1, bIdx);
+                      std::move(left), p->attempts + 1, bIdx,
+                      /*coalesce=*/false);
     }
 }
 
@@ -844,29 +797,17 @@ GpmRouter::proberLoop()
 bool
 GpmRouter::probeBackend(Backend &b)
 {
-    int fd = connectFd(b.host, b.port, opts.probeTimeoutMs,
-                       opts.probeTimeoutMs);
-    if (fd < 0)
+    auto conn =
+        TcpStream::connectTo(b.host, b.port, opts.probeTimeoutMs);
+    if (!conn.ok())
         return false;
-    timeval tv{};
-    tv.tv_sec = opts.probeTimeoutMs / 1000;
-    tv.tv_usec = (opts.probeTimeoutMs % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    bool ok = false;
-    if (writeAllFd(fd, "{\"id\":\"probe\",\"verb\":\"ping\"}\n")) {
-        char buf[256];
-        std::string resp;
-        while (resp.find('\n') == std::string::npos &&
-               resp.size() < sizeof(buf) * 4) {
-            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n <= 0)
-                break;
-            resp.append(buf, static_cast<std::size_t>(n));
-        }
-        ok = resp.find("\"pong\":true") != std::string::npos;
-    }
-    ::close(fd);
-    return ok;
+    TcpStream &s = conn.value();
+    s.setReadTimeoutMs(opts.probeTimeoutMs);
+    s.setWriteTimeoutMs(opts.probeTimeoutMs);
+    std::string resp;
+    return s.writeAll("{\"id\":\"probe\",\"verb\":\"ping\"}\n") &&
+           s.readLine(resp, 1024) == TcpStream::ReadStatus::Line &&
+           resp.find("\"pong\":true") != std::string::npos;
 }
 
 // ---------------------------------------------------------------
@@ -892,7 +833,8 @@ GpmRouter::submit(const std::shared_ptr<ReactorConn> &conn,
     conn->addPending(1);
     unanswered++;
     dispatchItems(conn, id.dump(), /*batch=*/false,
-                  std::move(items), 0, RendezvousRing::npos);
+                  std::move(items), 0, RendezvousRing::npos,
+                  /*coalesce=*/true);
 }
 
 void
@@ -927,7 +869,7 @@ GpmRouter::submitBatch(const std::shared_ptr<ReactorConn> &conn,
     conn->addPending(items.size());
     unanswered += items.size();
     dispatchItems(conn, id.dump(), /*batch=*/true, std::move(items),
-                  0, RendezvousRing::npos);
+                  0, RendezvousRing::npos, /*coalesce=*/true);
 }
 
 Value
@@ -948,6 +890,7 @@ GpmRouter::statsResult()
     result.set("shedNoBackend", s.shedNoBackend);
     result.set("spliceFallbacks", s.spliceFallbacks);
     result.set("backendFailures", s.backendFailures);
+    result.set("backendWrites", s.backendWrites);
     result.set("probes", s.probes);
     Value arr = Value::array();
     for (const auto &bs : s.backends) {
@@ -990,6 +933,7 @@ GpmRouter::stats() const
         spliceFallbacks.load(std::memory_order_relaxed);
     s.backendFailures =
         backendFailures.load(std::memory_order_relaxed);
+    s.backendWrites = backendWrites.load(std::memory_order_relaxed);
     s.probes = probes.load(std::memory_order_relaxed);
     s.inflight = unanswered.load(std::memory_order_relaxed);
     s.backendsTotal = backends.size();
@@ -1043,6 +987,10 @@ renderRouterPrometheus(const RouterStats &s,
     promCounter(out, "gpm_router_backend_failures_total",
                 "Backend transport failures observed",
                 s.backendFailures);
+    promCounter(out, "gpm_router_backend_writes_total",
+                "Request-line writes to backend sockets (routed "
+                "scenarios per write is the coalescing factor)",
+                s.backendWrites);
     promCounter(out, "gpm_router_probes_total",
                 "Health probes sent to non-closed backends",
                 s.probes);

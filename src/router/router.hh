@@ -21,7 +21,11 @@
  * scenario index) is spliced back into the line as string spans —
  * no parse/re-serialize on the hot path (a defensive full-parse
  * fallback covers any line that does not match the expected head
- * shape, counted in spliceFallbacks).
+ * shape, counted in spliceFallbacks). Request lines routed while a
+ * reactor thread handles one pass of client lines are queued per
+ * pooled connection and written once when the pass ends
+ * (onBatchEnd), so pipelined traffic costs one send per connection
+ * per pass; re-dispatches from reader threads write at once.
  *
  * submit_batch splits by shard: scenarios are grouped by owner,
  * each group forwarded as one sub-batch, and responses re-emitted
@@ -97,7 +101,7 @@ struct RouterOptions
 {
     /** Pooled connections per backend. */
     std::size_t backendConns = 2;
-    /** Backend connect() timeout. */
+    /** Backend connect() timeout; 0 = none. */
     int backendConnectTimeoutMs = 1000;
     /** Per-send progress timeout on backend sockets (wedged-backend
      *  guard); 0 = wait forever. */
@@ -106,7 +110,7 @@ struct RouterOptions
      *  allows a probe (the breaker's jittered cooldown gates how
      *  often a dead backend is actually poked). */
     int probeIntervalMs = 50;
-    /** Probe connect/response timeout. */
+    /** Probe connect/response timeout; 0 = none. */
     int probeTimeoutMs = 1000;
     /** Dispatch attempts per forward unit before its scenarios are
      *  answered with a retryable "busy" error. */
@@ -148,6 +152,9 @@ struct RouterStats
     std::uint64_t spliceFallbacks = 0;
     /** Backend transport failures observed. */
     std::uint64_t backendFailures = 0;
+    /** Writes to backend sockets; each carries every request line
+     *  one reactor pass routed to that connection. */
+    std::uint64_t backendWrites = 0;
     /** Health probes sent. */
     std::uint64_t probes = 0;
     /** Gauge: scenarios accepted but not yet answered. */
@@ -211,13 +218,23 @@ class GpmRouter : public NdjsonFrontend
     void dispatchItems(const std::shared_ptr<ReactorConn> &conn,
                        const std::string &idDump, bool batch,
                        std::vector<RouterItem> items,
-                       int attempts, std::size_t exclude);
+                       int attempts, std::size_t exclude,
+                       bool coalesce);
 
-    /** Register @p p under a fresh correlation id and write it to
-     *  one of @p b's pooled connections. False = transport
-     *  failure (breaker fed, pending deregistered). */
-    bool sendUnit(std::size_t bIdx,
-                  const std::shared_ptr<Pending> &p);
+    /**
+     * Register @p p under a fresh correlation id on one of @p b's
+     * pooled connections and queue its request line there. With
+     * @p coalesce (a reactor thread, inside a pass) the line waits
+     * for onBatchEnd(); otherwise it is written at once. False =
+     * transport failure (breaker fed, pending deregistered).
+     */
+    bool sendUnit(std::size_t bIdx, const std::shared_ptr<Pending> &p,
+                  bool coalesce);
+    /** Write @p ch's queued lines (caller holds ch.mtx). A failed
+     *  write shuts the connection down for its reader to sweep. */
+    bool flushLocked(Channel &ch);
+    /** Flush every connection this reactor pass queued lines on. */
+    void onBatchEnd() override;
 
     /** Answer every item with a retryable "busy" error. */
     void shedItems(const std::shared_ptr<ReactorConn> &conn,
@@ -262,7 +279,12 @@ class GpmRouter : public NdjsonFrontend
     std::atomic<std::uint64_t> shedNoBackend{0};
     std::atomic<std::uint64_t> spliceFallbacks{0};
     std::atomic<std::uint64_t> backendFailures{0};
+    std::atomic<std::uint64_t> backendWrites{0};
     std::atomic<std::uint64_t> probes{0};
+
+    /** Connections with lines queued by this reactor thread's
+     *  current pass (each reactor thread serves one router). */
+    static thread_local std::vector<Channel *> unflushedChannels;
 
     std::chrono::steady_clock::time_point startTime;
 };

@@ -51,11 +51,11 @@ parseArgs(int argc, char **argv)
     flags.add("--backend-conns", &o.backendConns, std::size_t{1},
               std::size_t{64}, "pooled connections per backend");
     flags.add("--connect-timeout-ms", &o.backendConnectTimeoutMs, 0,
-              kMaxMs, "backend connect() bound");
+              kMaxMs, "backend connect() bound; 0 = none");
     flags.add("--probe-interval-ms", &o.probeIntervalMs, 0, kMaxMs,
               "health-probe sweep period");
     flags.add("--probe-timeout-ms", &o.probeTimeoutMs, 0, kMaxMs,
-              "health-probe connect/read bound");
+              "health-probe connect/read bound; 0 = none");
     flags.add("--max-reroutes", &o.maxReroutes, 0, 1000,
               "dispatch attempts per request before a retryable busy");
     gpm::addBreakerFlags(flags, o.breaker, "backend");

@@ -148,6 +148,9 @@ class NdjsonFrontend : private ReactorHandler
     /** Answer everything accepted so far; runs once, inside
      *  stopAndDrain(), before the connections close. */
     virtual void drainWork() = 0;
+    /** Every request line of one reactor pass on this thread has
+     *  been handled (ReactorHandler::onBatchEnd). */
+    void onBatchEnd() override {}
 
     /** Client-side transport settings. */
     const ReactorOptions transport;

@@ -1,10 +1,10 @@
 #include "service/json.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 
 #include "util/logging.hh"
@@ -98,18 +98,47 @@ Value::find(std::string_view key) const
     return nullptr;
 }
 
+namespace
+{
+
+/** Exact decimal-to-double over [@p first, @p last): from_chars
+ *  straight from the span, strtod() on any error (libstdc++ reports
+ *  both overflow and underflow as result_out_of_range, where strtod
+ *  gives inf and 0) or on a partial parse. */
+double
+toDouble(const char *first, const char *last)
+{
+    double d = 0.0;
+    auto [end, ec] = std::from_chars(first, last, d);
+    if (ec == std::errc() && end == last)
+        return d;
+    return std::strtod(std::string(first, last).c_str(), nullptr);
+}
+
+} // namespace
+
 std::string
 formatDouble(double d)
 {
     if (!std::isfinite(d))
         return "null";
+    // No %.{p}g form shorter than the shortest round-trip digit
+    // string can round-trip, so start the search at its length.
     char buf[32];
-    for (int prec = 1; prec <= 17; prec++) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-        if (std::strtod(buf, nullptr) == d)
-            break;
+    auto sci = std::to_chars(buf, buf + sizeof(buf), d,
+                             std::chars_format::scientific);
+    int prec = 0;
+    for (const char *c = buf; c < sci.ptr && *c != 'e'; c++)
+        prec += *c >= '0' && *c <= '9';
+    // The correctly rounded %.{p}g form can still miss on an exact
+    // decimal tie (2^-24 needs 17 digits, not its 16 shortest ones),
+    // so step up until the text reads back bit-identical.
+    for (;; prec++) {
+        auto r = std::to_chars(buf, buf + sizeof(buf), d,
+                               std::chars_format::general, prec);
+        if (prec >= 17 || toDouble(buf, r.ptr) == d)
+            return std::string(buf, r.ptr);
     }
-    return buf;
 }
 
 static void
@@ -437,8 +466,7 @@ struct Parser
             while (!atEnd() && peek() >= '0' && peek() <= '9')
                 pos++;
         }
-        std::string span(text.substr(start, pos - start));
-        out = std::strtod(span.c_str(), nullptr);
+        out = toDouble(text.data() + start, text.data() + pos);
         if (!std::isfinite(out))
             return fail(start, "number out of range");
         return true;

@@ -13,11 +13,15 @@
  * Two serializers:
  *  - dump()      compact, members in insertion order;
  *  - canonical() compact, object keys byte-sorted at every level.
- * Both print numbers with formatDouble() — the shortest decimal
- * form that strtod()s back to the identical double — so equal
- * values always serialize to equal bytes and every number survives
- * a serialize/parse round trip bit-exactly. canonicalHash() (FNV-1a
- * over canonical()) is the scenario cache key.
+ * Both print numbers with formatDouble() — the shortest "%.Ng"
+ * form that reads back as the identical double — so equal values
+ * always serialize to equal bytes and every number survives a
+ * serialize/parse round trip bit-exactly. Numbers are converted
+ * both ways with <charconv> (to_chars / from_chars, exact and
+ * locale-free); the parser falls back to strtod() only where
+ * from_chars reports a range error, so overflow still fails and
+ * underflow still reads as zero. canonicalHash() (FNV-1a over
+ * canonical()) is the scenario cache key.
  */
 
 #ifndef GPM_SERVICE_JSON_HH
@@ -137,9 +141,11 @@ struct ParseError
 Expected<Value, ParseError> parse(std::string_view text);
 
 /**
- * Shortest "%.Ng" printf form of @p d that strtod()s back to the
+ * Shortest "%.Ng" printf form of @p d that reads back as the
  * bit-identical double; "null" for non-finite inputs (which valid
- * JSON cannot carry).
+ * JSON cannot carry). Computed with std::to_chars: N starts at the
+ * digit count of the shortest round-trip form and steps up only on
+ * exact decimal ties.
  */
 std::string formatDouble(double d);
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -193,7 +194,8 @@ pollFor(int fd, short events, int timeout_ms)
 } // namespace
 
 Expected<TcpStream, std::string>
-TcpStream::connectTo(const std::string &host, std::uint16_t port)
+TcpStream::connectTo(const std::string &host, std::uint16_t port,
+                     int timeoutMs)
 {
     using Fail = Expected<TcpStream, std::string>;
 
@@ -203,17 +205,37 @@ TcpStream::connectTo(const std::string &host, std::uint16_t port)
     if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
         return Fail::failure("invalid IPv4 address '" + host + "'");
 
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    // A bounded connect runs non-blocking under poll(); the stream
+    // itself is blocking either way.
+    int nonblock = timeoutMs > 0 ? SOCK_NONBLOCK : 0;
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | nonblock,
+                      0);
     if (fd < 0)
         return Fail::failure(errnoString("socket"));
+    TcpStream s(fd);
 
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) < 0) {
-        std::string e = errnoString("connect");
-        ::close(fd);
-        return Fail::failure(std::move(e));
+        if (!nonblock || errno != EINPROGRESS)
+            return Fail::failure(errnoString("connect"));
+        int r = pollFor(fd, POLLOUT, timeoutMs);
+        if (r == 0)
+            return Fail::failure("connect: timed out");
+        if (r < 0)
+            return Fail::failure(errnoString("poll"));
+        int err = 0;
+        socklen_t len = sizeof(err);
+        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0)
+            return Fail::failure(errnoString("getsockopt"));
+        if (err != 0)
+            return Fail::failure(std::string("connect: ") +
+                                 std::strerror(err));
     }
-    return TcpStream(fd);
+    if (nonblock)
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    return s;
 }
 
 TcpStream::ReadStatus
@@ -258,19 +280,22 @@ TcpStream::readLine(std::string &line, std::size_t max_len)
 bool
 TcpStream::writeAll(std::string_view data)
 {
+    // With a timeout, try the send first and poll only when the
+    // socket is full.
+    int flags = MSG_NOSIGNAL | (writeTimeoutMs > 0 ? MSG_DONTWAIT : 0);
     while (!data.empty()) {
-        if (writeTimeoutMs > 0 &&
-            pollFor(fd_, POLLOUT, writeTimeoutMs) <= 0)
-            return false; // timeout or poll error
-        ssize_t n =
-            ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
+        ssize_t n = ::send(fd_, data.data(), data.size(), flags);
         if (n > 0) {
             data.remove_prefix(static_cast<std::size_t>(n));
             continue;
         }
         if (n < 0 && errno == EINTR)
             continue;
-        return false;
+        if (n < 0 && (flags & MSG_DONTWAIT) &&
+            (errno == EAGAIN || errno == EWOULDBLOCK) &&
+            pollFor(fd_, POLLOUT, writeTimeoutMs) > 0)
+            continue;
+        return false; // error, or no progress within the timeout
     }
     return true;
 }

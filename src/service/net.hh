@@ -14,9 +14,10 @@
  * Deadlines: a TcpStream carries optional poll()-based read/write
  * timeouts. The read timeout bounds the wait for the *next* byte
  * (so it measures peer idleness, not total line latency); the write
- * timeout bounds each wait for the socket to accept more bytes. A
- * stream with both at 0 (the default) blocks forever, exactly as
- * before.
+ * timeout bounds each wait for the socket to accept more bytes (a
+ * send the socket can take at once costs no poll). A stream with
+ * both at 0 (the default) blocks forever. connectTo() can bound the
+ * connect as well.
  */
 
 #ifndef GPM_SERVICE_NET_HH
@@ -107,11 +108,21 @@ class TcpStream
     TcpStream(const TcpStream &) = delete;
     TcpStream &operator=(const TcpStream &) = delete;
 
-    /** Connect to @p host:@p port (IPv4 dotted quad). */
+    /**
+     * Connect to @p host:@p port (IPv4 dotted quad), TCP_NODELAY
+     * set. @p timeoutMs > 0 bounds the connect itself, so one
+     * unreachable peer cannot stall the caller; 0 waits as long as
+     * the kernel does.
+     */
     static Expected<TcpStream, std::string>
-    connectTo(const std::string &host, std::uint16_t port);
+    connectTo(const std::string &host, std::uint16_t port,
+              int timeoutMs = 0);
 
     bool valid() const { return fd_ >= 0; }
+    /** The owned fd (-1 once closed), for callers that receive on
+     *  it from their own thread while another writes through
+     *  writeAll(). */
+    int fd() const { return fd_; }
 
     /** Why readLine() stopped — EOF, timeouts and framing overruns
      *  are distinct outcomes, not one conflated `false`. */

@@ -234,6 +234,7 @@ class Reactor
                     (e & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)))
                     readConn(c);
             }
+            pool.handler.onBatchEnd();
             // Responses enqueued synchronously during this batch
             // (cache hits completing inline) flush here, batched.
             for (std::size_t i = 0; i < dirty.size(); i++) {

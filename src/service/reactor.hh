@@ -173,6 +173,14 @@ class ReactorHandler
     virtual void onLine(const std::shared_ptr<ReactorConn> &conn,
                         std::string_view line) = 0;
 
+    /**
+     * End of one event-loop pass on a reactor thread: every onLine()
+     * of the pass has returned. Runs on that thread before the
+     * pass's responses flush, so a handler can send what its lines
+     * buffered in one write.
+     */
+    virtual void onBatchEnd() {}
+
     /** The one response line (with '\n') written before a
      *  connection that overran maxLineBytes is closed. */
     virtual std::string onLineTooLong() = 0;

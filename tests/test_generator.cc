@@ -113,8 +113,9 @@ TEST(SynthGenerator, HotAddressesStayInHotRegion)
     MicroOp op;
     for (int i = 0; i < 50'000; i++) {
         ASSERT_TRUE(g.next(op));
-        if (isMem(op.cls))
+        if (isMem(op.cls)) {
             EXPECT_LT(op.addr, s.hotBytes);
+        }
     }
 }
 
@@ -150,8 +151,9 @@ TEST(SynthGenerator, StreamsAreSequential)
             continue;
         std::uint64_t stream = op.addr >> 24;
         auto it = last_per_stream.find(stream);
-        if (it != last_per_stream.end() && op.addr > it->second)
+        if (it != last_per_stream.end() && op.addr > it->second) {
             EXPECT_EQ(op.addr - it->second, 8u);
+        }
         last_per_stream[stream] = op.addr;
     }
     EXPECT_GE(last_per_stream.size(), 2u);
@@ -224,10 +226,11 @@ TEST(SynthGenerator, TakenBranchesJumpWithinCodeFootprint)
         ASSERT_TRUE(g.next(op));
         EXPECT_GE(op.pc, 0x8000'0000ULL);
         EXPECT_LT(op.pc, 0x8000'0000ULL + s.codeBytes + 4096);
-        if (prev_taken)
+        if (prev_taken) {
             EXPECT_EQ(op.pc % 128, 0u); // jumps land on block starts
-        else if (prev_pc)
+        } else if (prev_pc) {
             EXPECT_EQ(op.pc, prev_pc + 4);
+        }
         prev_pc = op.pc;
         prev_taken = op.cls == OpClass::Branch && op.taken;
     }

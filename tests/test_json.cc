@@ -2,11 +2,16 @@
  *  rejection, bit-exact double round trips, and canonical-form
  *  (hashing) invariance. */
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "service/json.hh"
+#include "util/rng.hh"
 
 namespace gpm::json
 {
@@ -132,6 +137,161 @@ TEST(Json, DoublesRoundTripBitExactly)
     }
     EXPECT_EQ(formatDouble(0.5), "0.5"); // shortest form wins
     EXPECT_EQ(formatDouble(5.0), "5");
+}
+
+/** The printf definition formatDouble() must reproduce: the
+ *  smallest %.{p}g form that strtod()s back to @p d. */
+std::string
+printfShortest(double d)
+{
+    if (!std::isfinite(d))
+        return "null";
+    char buf[32];
+    for (int prec = 1; prec <= 17; prec++) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
+        if (std::strtod(buf, nullptr) == d)
+            break;
+    }
+    return buf;
+}
+
+double
+fromBits(std::uint64_t bits)
+{
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+}
+
+/** Doubles at the edges of the %g and round-trip rules. */
+std::vector<double>
+edgeDoubles()
+{
+    std::vector<double> v = {0.0, -0.0, 1.0, -1.0, 0.1, 0.615,
+                             1e21, 1e-5, 1e-4, 1e15, 1e16, 1e17,
+                             1e22, 1e23, 1e300, -1e300, 5e-324,
+                             -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+                             DBL_EPSILON, 9007199254740992.0,
+                             9007199254740991.0, 123456.0, 1e6,
+                             std::ldexp(1.0, -24)};
+    // Both sides of the %g fixed/exponent switch points.
+    for (double x : {1e21, 1e-5, 1e-4, 1e16, 1e17}) {
+        v.push_back(std::nextafter(x, 0.0));
+        v.push_back(std::nextafter(x, HUGE_VAL));
+    }
+    // Exact decimal ties: every power of two, and odd multiples of
+    // small ones.
+    for (int e = -1074; e <= 1023; e++)
+        v.push_back(std::ldexp(1.0, e));
+    for (int e = -80; e <= 80; e++)
+        for (int m = 1; m < 64; m += 2)
+            v.push_back(std::ldexp(static_cast<double>(m), e));
+    return v;
+}
+
+TEST(Json, FormatDoubleMatchesPrintfReference)
+{
+    std::vector<double> cases = edgeDoubles();
+    Rng rng(20061209, 7);
+    const std::size_t seeded = 1000000;
+    cases.reserve(cases.size() + seeded);
+    for (std::size_t i = 0; i < seeded; i++) {
+        double d;
+        switch (i % 8) {
+          case 0: // any finite bit pattern
+            do
+                d = fromBits(rng.next64());
+            while (!std::isfinite(d));
+            break;
+          case 1: // subnormals
+            d = fromBits(rng.next64() &
+                         (((std::uint64_t{1} << 52) - 1) |
+                          std::uint64_t{1} << 63));
+            break;
+          case 2: // integers up to 2^53
+            d = static_cast<double>(rng.next64() >> 11);
+            break;
+          case 3:
+            d = rng.uniform(-1e6, 1e6);
+            break;
+          case 4: // small integers, signed
+            d = static_cast<double>(rng.range(-100000, 100000));
+            break;
+          case 5:
+          case 6: // short decimals such as budgets (0.615)
+            d = static_cast<double>(rng.range(0, 999999)) /
+                std::pow(10.0, static_cast<double>(rng.below(9)));
+            break;
+          default: // exact binary fractions: decimal ties
+            d = std::ldexp(static_cast<double>(rng.range(1, 1 << 20)),
+                           static_cast<int>(rng.range(-80, 40)));
+            break;
+        }
+        cases.push_back(d);
+    }
+    std::size_t mismatches = 0;
+    for (double d : cases) {
+        std::string got = formatDouble(d);
+        std::string want = printfShortest(d);
+        if (got != want && ++mismatches <= 10)
+            ADD_FAILURE() << "bits " << std::hex
+                          << [&] {
+                                 std::uint64_t b;
+                                 std::memcpy(&b, &d, sizeof(b));
+                                 return b;
+                             }()
+                          << ": got " << got << ", printf " << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << cases.size();
+    EXPECT_EQ(formatDouble(std::ldexp(1.0, -24)),
+              "5.9604644775390625e-08");
+    EXPECT_EQ(formatDouble(-0.0), "-0");
+    EXPECT_EQ(formatDouble(1e21), "1e+21");
+    EXPECT_EQ(formatDouble(1e-5), "1e-05");
+    EXPECT_EQ(formatDouble(HUGE_VAL), "null");
+    EXPECT_EQ(formatDouble(NAN), "null");
+}
+
+TEST(Json, ParseNumberMatchesStrtod)
+{
+    std::vector<std::string> texts = {
+        "0", "-0", "0.0", "-0.0", "0e0", "1e-400", "-1e-400",
+        "1E-400", "4.9406564584124654e-324",
+        "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623158e308", "0.615", "0.1", "1e21", "1e-5",
+        "5.9604644775390625e-08", "5.960464477539063e-08",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "123456789012345678901234567890",
+        "9007199254740993", "9007199254740992.5000000000000000001",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "1.000000000000000111022302462515654042363166809082031249",
+        "-12345678901234567890.123456789e-10"};
+    Rng rng(1024, 3);
+    for (int i = 0; i < 20000; i++) {
+        double d;
+        do
+            d = fromBits(rng.next64());
+        while (!std::isfinite(d));
+        char buf[64];
+        // 17-, 20- and 25-digit mantissas, and the shortest form.
+        for (int prec : {17, 20, 25}) {
+            std::snprintf(buf, sizeof(buf), "%.*e", prec - 1, d);
+            texts.push_back(buf);
+        }
+        texts.push_back(formatDouble(d));
+    }
+    for (const std::string &t : texts) {
+        double want = std::strtod(t.c_str(), nullptr);
+        double got = parseOk(t).asNumber();
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << t << " -> " << got << ", strtod " << want;
+    }
+    EXPECT_TRUE(std::signbit(parseOk("-0").asNumber()));
+    EXPECT_TRUE(std::signbit(parseOk("-1e-400").asNumber()));
+    for (const char *big : {"1e400", "-1e400", "1.8e308",
+                            "123456789e999999999999"})
+        EXPECT_EQ(parseErr(big), "number out of range") << big;
 }
 
 TEST(Json, DumpPreservesInsertionOrderCanonicalSorts)

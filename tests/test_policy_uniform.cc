@@ -49,8 +49,9 @@ TEST(UniformBudgetPolicy, EachCoreFitsItsSlice)
     auto assign = policy.decide(in);
     double slice = budget / 4.0;
     for (std::size_t c = 0; c < 4; c++) {
-        if (m.powerW(c, static_cast<PowerMode>(2)) <= slice)
+        if (m.powerW(c, static_cast<PowerMode>(2)) <= slice) {
             EXPECT_LE(m.powerW(c, assign[c]), slice);
+        }
     }
     EXPECT_LE(m.totalPowerW(assign), budget + 1e-9);
 }

@@ -3,14 +3,19 @@
  *  failover ranking) and GpmRouter end-to-end over real loopback
  *  sockets against in-process gpmd backends — routed results
  *  byte-identical to direct submits, batch split/remap, failover
- *  after a killed backend, breaker recovery via the prober. */
+ *  after a killed backend, breaker recovery via the prober,
+ *  coalesced backend writes (one write per connection per reactor
+ *  pass) and their exactly-once answers when the backend resets. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 
 #include "router/ring.hh"
 #include "router/router.hh"
@@ -265,6 +270,20 @@ class RouterTest : public ::testing::Test
         return buf;
     }
 
+    /** @p n submits with ids from @p firstId, one line each, for
+     *  one client write. */
+    static std::string
+    pipelinedSubmits(std::size_t n, std::size_t firstId)
+    {
+        std::string req;
+        for (std::size_t i = 0; i < n; i++)
+            req += R"({"id": )" + std::to_string(firstId + i) +
+                   R"(, "verb": "submit", "scenario": )" +
+                   scenarioLine(0.5 + 0.01 * static_cast<double>(i)) +
+                   "}\n";
+        return req;
+    }
+
     std::unique_ptr<ScenarioService> svcs[nBackends];
     std::unique_ptr<GpmServer> servers[nBackends];
     std::thread threads[nBackends];
@@ -321,6 +340,7 @@ TEST_F(RouterTest, PingAndStatsAnswerLocally)
     json::Value s = parseOk(roundTrip(c, R"({"verb": "stats"})"));
     const json::Value *res = s.find("result");
     ASSERT_TRUE(res);
+    EXPECT_EQ(res->find("backendWrites")->asNumber(), 0.0);
     EXPECT_EQ(res->find("backendsTotal")->asNumber(), 2.0);
     EXPECT_EQ(res->find("backendsLive")->asNumber(), 2.0);
     EXPECT_TRUE(res->find("backends")->isArray());
@@ -579,6 +599,9 @@ TEST_F(RouterTest, MetricsRenderIncludesPerBackendSeries)
               std::string::npos);
     EXPECT_NE(body.find("gpm_router_routed_scenarios_total 1"),
               std::string::npos);
+    EXPECT_NE(body.find("gpm_router_backend_writes_total 1\n"),
+              std::string::npos)
+        << body;
     for (std::size_t i = 0; i < nBackends; i++) {
         std::string label =
             "{backend=\"127.0.0.1:" + std::to_string(ports[i]) +
@@ -590,6 +613,124 @@ TEST_F(RouterTest, MetricsRenderIncludesPerBackendSeries)
     }
     EXPECT_NE(body.find("gpm_router_breaker_state{backend="),
               std::string::npos);
+}
+
+/** Read @p n response lines and key them by numeric id; every id
+ *  must come once, ok, and nothing may follow. */
+std::map<std::size_t, std::string>
+readExactlyOnce(TcpStream &c, std::size_t n)
+{
+    std::map<std::size_t, std::string> byId;
+    c.setReadTimeoutMs(10000);
+    for (std::size_t got = 0; got < n; got++) {
+        std::string line;
+        if (c.readLine(line) != TcpStream::ReadStatus::Line) {
+            ADD_FAILURE() << "connection ended after " << got;
+            break;
+        }
+        auto r = json::parse(line);
+        EXPECT_TRUE(r.ok()) << line;
+        if (!r.ok())
+            continue;
+        EXPECT_TRUE(r.value().find("ok")->asBool()) << line;
+        auto id = static_cast<std::size_t>(
+            r.value().find("id")->asNumber());
+        EXPECT_TRUE(
+            byId.emplace(id, r.value().find("result")->dump())
+                .second)
+            << "id " << id << " answered twice";
+    }
+    c.setReadTimeoutMs(100);
+    std::string extra;
+    EXPECT_EQ(c.readLine(extra), TcpStream::ReadStatus::Timeout)
+        << "unexpected line: " << extra;
+    return byId;
+}
+
+TEST_F(RouterTest, PipelinedSubmitsShareBackendWrites)
+{
+    const std::size_t n = 24;
+    TcpStream c = connectTo(routerPort);
+    ASSERT_TRUE(c.writeAll(pipelinedSubmits(n, 0)));
+    auto byId = readExactlyOnce(c, n);
+    ASSERT_EQ(byId.size(), n);
+
+    // One reactor pass framed every line: each pooled connection
+    // got at most one write, 2 backends x 2 connections.
+    RouterStats st = router->stats();
+    EXPECT_EQ(st.routedScenarios, n);
+    EXPECT_LT(st.backendWrites, n);
+    EXPECT_GT(st.backendWrites, 0u);
+
+    // Byte-identical to the owning backends answering directly.
+    TcpStream d = connectTo(ports[0]);
+    for (std::size_t i = 0; i < n; i++) {
+        json::Value direct = parseOk(roundTrip(
+            d, R"({"id": 1, "verb": "submit", "scenario": )" +
+                   scenarioLine(0.5 + 0.01 * static_cast<double>(i)) +
+                   "}"));
+        ASSERT_TRUE(direct.find("ok")->asBool());
+        EXPECT_EQ(direct.find("result")->dump(), byId[i])
+            << "scenario " << i;
+    }
+}
+
+TEST_F(RouterTest, ResetBackendWithQueuedWritesAnswersEachOnce)
+{
+    // A backend that resets every connection as soon as it is
+    // accepted: lines the router queued for it die either in the
+    // queue (the reader sweeps first), in the pass-end write (it
+    // fails) or on the wire (EOF afterwards). Each way, every
+    // scenario must be re-routed to the live gpmd and answered
+    // exactly once.
+    auto sinkListener = TcpListener::listenOn("127.0.0.1", 0);
+    ASSERT_TRUE(sinkListener.ok()) << sinkListener.error();
+    TcpListener sink = std::move(sinkListener.value());
+    std::thread resetter([&sink] {
+        for (;;) {
+            int fd = sink.acceptFd();
+            if (fd < 0)
+                return;
+            linger lg{1, 0};
+            ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg,
+                         sizeof(lg));
+            ::close(fd);
+        }
+    });
+
+    RouterOptions opts;
+    // The breaker never opens, so every round reaches the sink.
+    opts.breaker.minSamples = std::size_t{1} << 20;
+    opts.probeIntervalMs = 10;
+    opts.backendConnectTimeoutMs = 250;
+    auto listener = TcpListener::listenOn("127.0.0.1", 0);
+    ASSERT_TRUE(listener.ok()) << listener.error();
+    auto mixed = std::make_unique<GpmRouter>(
+        std::vector<RouterEndpoint>{{"127.0.0.1", sink.port()},
+                                    {"127.0.0.1", ports[1]}},
+        std::move(listener.value()), opts);
+    std::thread runner([&] { mixed->run(); });
+
+    const std::size_t n = 16, rounds = 12;
+    for (std::size_t r = 0; r < rounds; r++) {
+        TcpStream c = connectTo(mixed->port());
+        ASSERT_TRUE(
+            c.writeAll(pipelinedSubmits(n, r * n)));
+        auto byId = readExactlyOnce(c, n);
+        EXPECT_EQ(byId.size(), n) << "round " << r;
+    }
+    RouterStats st = mixed->stats();
+    EXPECT_GT(st.rerouted, 0u);
+    EXPECT_GT(st.backendFailures, 0u);
+    EXPECT_EQ(st.inflight, 0u);
+    EXPECT_EQ(st.shedNoBackend, 0u);
+
+    mixed->requestStop();
+    runner.join();
+    mixed->stopAndDrain();
+    mixed.reset();
+    sink.shutdownListener();
+    resetter.join();
 }
 
 } // namespace
