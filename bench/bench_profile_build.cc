@@ -51,10 +51,17 @@ identicalProfiles(const WorkloadProfile &a, const WorkloadProfile &b)
         const ModeProfile &x = a.modes[m], &y = b.modes[m];
         if (x.chunkInsts != y.chunkInsts ||
             x.lastChunkInsts != y.lastChunkInsts ||
-            x.chunks.size() != y.chunks.size())
+            x.numChunks() != y.numChunks())
             return false;
-        if (std::memcmp(x.chunks.data(), y.chunks.data(),
-                        x.chunks.size() * sizeof(ChunkRecord)) != 0)
+        const std::size_t n = x.numChunks();
+        if (std::memcmp(x.timePs.data(), y.timePs.data(),
+                        n * sizeof(double)) != 0 ||
+            std::memcmp(x.energyJ.data(), y.energyJ.data(),
+                        n * sizeof(double)) != 0 ||
+            std::memcmp(x.l2Accesses.data(), y.l2Accesses.data(),
+                        n * sizeof(std::uint32_t)) != 0 ||
+            std::memcmp(x.l2Misses.data(), y.l2Misses.data(),
+                        n * sizeof(std::uint32_t)) != 0)
             return false;
     }
     return true;

@@ -27,7 +27,9 @@
 # gpmd backends sharing a --cache-dir: submits and cache-hit
 # resubmits through the router, a SIGKILLed backend failing over
 # to the survivor with zero gpmctl failures, clean router drain),
-# then a ThreadSanitizer build
+# then an AddressSanitizer+UBSan build running the profile, replay
+# kernel, CmpSim, sweep and profile-store tests (their column loops
+# index raw pointers), then a ThreadSanitizer build
 # running the concurrency-sensitive tests (thread pool, sweep
 # determinism, profile store, router) and the same smokes under
 # TSan. The TSan stage can be
@@ -815,6 +817,15 @@ service_throughput_smoke "$BUILD"
 
 echo "== tier-1: shard smoke (router / failover / shared cache) =="
 gpmd_shard_smoke "$BUILD"
+
+echo "== tier-1: ASan+UBSan build (profile, replay, sim, sweep, store tests) =="
+cmake -B "$BUILD-asan" -S . -DGPM_SANITIZE=address,undefined -DGPM_WERROR=ON
+cmake --build "$BUILD-asan" -j --target gpm_tests
+# UBSan only reports by default; halting makes a finding fail the
+# stage.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$BUILD-asan/tests/gpm_tests" \
+    --gtest_filter='ModeProfile.*:ProfileCursor.*:Suite/ReplayKernelTest.*:CmpSimTest.*:SweepTest.*:ProfileStoreTest.*:Suite/LockstepProfileTest.*'
 
 if [ "${GPM_SKIP_TSAN:-0}" = "1" ]; then
     echo "== tier-1: TSan stage skipped (GPM_SKIP_TSAN=1) =="

@@ -132,7 +132,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         double energyJ = 0.0;
         double insts = 0.0;
         double misses = 0.0;
-        double accesses = 0.0;
     };
     std::vector<Acc> explore_acc(n);
     MicroSec explore_elapsed = 0.0;
@@ -141,17 +140,23 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
     std::vector<CoreSample> samples(n);
     std::vector<double> stall_energy(n, 0.0);
     std::vector<double> dilation(n, 1.0);
-    std::vector<double> step_bips(n, 0.0);
-
-    std::vector<Watts> last_step_power(n, 0.0);
-    for (std::size_t c = 0; c < n; c++)
-        last_step_power[c] = stallModel.stallPower(mode_v[c]);
+    std::vector<double> last_step_energy(n, 0.0);
+    // Per-core miss rates feed only the contention model, per-step
+    // power and BIPS only the timeline and the thermal model; runs
+    // without them skip computing them.
     std::vector<double> last_miss_rate(n, 0.0); // misses per us
+    const bool step_power_wanted = record_timeline || cfg.trackThermal;
+    std::vector<double> step_bips(step_power_wanted ? n : 0, 0.0);
+    std::vector<Watts> last_step_power(step_power_wanted ? n : 0, 0.0);
 
     SimResult res;
     res.coreInstructions.assign(n, 0.0);
     res.coreEnergyJ.assign(n, 0.0);
     res.finished.assign(n, false);
+    // Byte-per-core mirror of res.finished for the per-step loops
+    // (std::vector<bool> indexing is a shift-and-mask each time).
+    std::vector<char> done(n, 0);
+    std::size_t n_done = 0;
     if (record_timeline) {
         res.timeline.start(n);
         res.timeline.reserve(256);
@@ -159,6 +164,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
 
     ChipThermalModel thermal(n, cfg.thermal);
 
+    const MicroSec dt = cfg.deltaSimUs;
     MicroSec t = 0.0;
     MicroSec next_explore = 0.0;
     bool first_decision = true;
@@ -208,7 +214,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                 CoreSample &s = samples[c];
                 s = CoreSample{};
                 s.mode = mode_v[c];
-                s.active = !res.finished[c];
+                s.active = !done[c];
                 if (first_decision) {
                     // Bootstrap from the profiles: the trace-based
                     // tool knows the first interval's behaviour.
@@ -259,9 +265,10 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                             dvfs.transitionUs(mode_v[c],
                                               new_modes[c]));
                 if (trans > 0.0) {
+                    // Cores burn the last step's power while stalled.
                     for (std::size_t c = 0; c < n; c++) {
-                        double e =
-                            last_step_power[c] * trans * 1e-6;
+                        Watts p = last_step_energy[c] / (dt * 1e-6);
+                        double e = p * trans * 1e-6;
                         res.coreEnergyJ[c] += e;
                         stall_energy[c] = e;
                     }
@@ -271,7 +278,7 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
                     stalled_us = trans;
                 }
             }
-            mode_v = new_modes;
+            mode_v.swap(new_modes);
             first_decision = false;
             explore_acc.assign(n, Acc{});
             explore_elapsed = 0.0;
@@ -287,8 +294,6 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         }
 
         // ---- One delta-sim interval -------------------------------
-        const MicroSec dt = cfg.deltaSimUs;
-
         if (cfg.contention) {
             double rho = 0.0;
             for (double r : last_miss_rate)
@@ -310,19 +315,21 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         for (std::size_t c = 0; c < n; c++) {
             double step_energy = 0.0;
             double step_insts = 0.0;
-            if (!res.finished[c]) {
+            if (!done[c]) {
                 auto d = cursors[c].advance(dt, mode_v[c],
                                             dilation[c]);
                 step_energy = d.energyJ;
                 step_insts = d.instructions;
                 explore_acc[c].insts += d.instructions;
                 explore_acc[c].misses += d.l2Misses;
-                explore_acc[c].accesses += d.l2Accesses;
                 step_misses += d.l2Misses;
                 step_accesses += d.l2Accesses;
-                last_miss_rate[c] = d.l2Misses / dt;
+                if (cfg.contention)
+                    last_miss_rate[c] = d.l2Misses / dt;
                 if (d.finished) {
                     res.finished[c] = true;
+                    done[c] = 1;
+                    n_done++;
                     finished_now = true;
                     double idle_us = dt - d.usedUs;
                     step_energy += stallModel.stallPower(mode_v[c]) *
@@ -331,14 +338,18 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
             } else {
                 step_energy =
                     stallModel.stallPower(mode_v[c]) * dt * 1e-6;
-                last_miss_rate[c] = 0.0;
+                if (cfg.contention)
+                    last_miss_rate[c] = 0.0;
             }
             res.coreEnergyJ[c] += step_energy;
             res.coreInstructions[c] += step_insts;
             explore_acc[c].energyJ += step_energy;
-            last_step_power[c] = step_energy / (dt * 1e-6);
-            step_core_power += last_step_power[c];
-            step_bips[c] = bips_of(step_insts, dt);
+            last_step_energy[c] = step_energy;
+            if (step_power_wanted) {
+                last_step_power[c] = step_energy / (dt * 1e-6);
+                step_core_power += last_step_power[c];
+                step_bips[c] = bips_of(step_insts, dt);
+            }
         }
 
         double unc_e = uncore.energy(
@@ -365,13 +376,9 @@ CmpSim::runInternal(GlobalManager *mgr, const BudgetSchedule *budget,
         if (cfg.termination == SimConfig::Termination::FirstDone &&
             finished_now)
             break;
-        if (cfg.termination == SimConfig::Termination::AllDone) {
-            bool all = true;
-            for (bool f : res.finished)
-                all = all && f;
-            if (all)
-                break;
-        }
+        if (cfg.termination == SimConfig::Termination::AllDone &&
+            n_done == n)
+            break;
     }
 
     res.endUs = t;

@@ -12,20 +12,51 @@
 namespace gpm
 {
 
+void
+ModeProfile::reserve(std::size_t n)
+{
+    timePs.reserve(n);
+    energyJ.reserve(n);
+    l2Accesses.reserve(n);
+    l2Misses.reserve(n);
+}
+
+void
+ModeProfile::append(const ChunkRecord &c)
+{
+    GPM_ASSERT(c.timePs < maxTimePs);
+    timePs.push_back(static_cast<double>(c.timePs));
+    energyJ.push_back(c.energyJ);
+    l2Accesses.push_back(c.l2Accesses);
+    l2Misses.push_back(c.l2Misses);
+}
+
+ChunkRecord
+ModeProfile::chunk(std::size_t i) const
+{
+    GPM_ASSERT(i < numChunks());
+    ChunkRecord c;
+    c.timePs = static_cast<std::uint64_t>(timePs[i]);
+    c.energyJ = energyJ[i];
+    c.l2Accesses = l2Accesses[i];
+    c.l2Misses = l2Misses[i];
+    return c;
+}
+
 std::uint64_t
 ModeProfile::totalInsts() const
 {
-    if (chunks.empty())
+    if (timePs.empty())
         return 0;
-    return (chunks.size() - 1) * chunkInsts + lastChunkInsts;
+    return (timePs.size() - 1) * chunkInsts + lastChunkInsts;
 }
 
 std::uint64_t
 ModeProfile::totalTimePs() const
 {
     std::uint64_t t = 0;
-    for (const auto &c : chunks)
-        t += c.timePs;
+    for (double c : timePs)
+        t += static_cast<std::uint64_t>(c);
     return t;
 }
 
@@ -33,8 +64,8 @@ double
 ModeProfile::totalEnergyJ() const
 {
     double e = 0.0;
-    for (const auto &c : chunks)
-        e += c.energyJ;
+    for (double c : energyJ)
+        e += c;
     return e;
 }
 
@@ -56,12 +87,12 @@ ModeProfile::peakPowerW(MicroSec window_us) const
     Watts peak = 0.0;
     double win_t = 0.0, win_e = 0.0;
     std::size_t head = 0;
-    for (std::size_t tail = 0; tail < chunks.size(); tail++) {
-        win_t += static_cast<double>(chunks[tail].timePs);
-        win_e += chunks[tail].energyJ;
+    for (std::size_t tail = 0; tail < timePs.size(); tail++) {
+        win_t += timePs[tail];
+        win_e += energyJ[tail];
         while (win_t > window_ps && head < tail) {
-            win_t -= static_cast<double>(chunks[head].timePs);
-            win_e -= chunks[head].energyJ;
+            win_t -= timePs[head];
+            win_e -= energyJ[head];
             head++;
         }
         if (win_t > 0.0)
@@ -113,13 +144,13 @@ ProfileCursor::seekFraction(double f)
     const ModeProfile &mp = prof.modes[0];
     start = Pos{};
     shifted = false;
-    if (f > 0.0 && !mp.chunks.empty()) {
+    if (f > 0.0 && mp.numChunks() > 0) {
         double target =
             f * static_cast<double>(mp.totalInsts());
         auto chunk = static_cast<std::size_t>(
             target / static_cast<double>(mp.chunkInsts));
-        chunk = std::min(chunk, mp.chunks.size() - 1);
-        std::uint64_t this_chunk = chunk + 1 == mp.chunks.size()
+        chunk = std::min(chunk, mp.numChunks() - 1);
+        std::uint64_t this_chunk = chunk + 1 == mp.numChunks()
             ? mp.lastChunkInsts
             : mp.chunkInsts;
         double frac = (target -
@@ -137,7 +168,7 @@ ProfileCursor::seekFraction(double f)
 bool
 ProfileCursor::finished() const
 {
-    return posFinished(cur, prof.modes[0].chunks.size());
+    return posFinished(cur, prof.modes[0].numChunks());
 }
 
 double
@@ -152,7 +183,7 @@ ProfileCursor::instructionsDone() const
     double insts =
         static_cast<double>(cur.chunk) *
         static_cast<double>(mp.chunkInsts);
-    std::uint64_t this_chunk = cur.chunk + 1 == mp.chunks.size()
+    std::uint64_t this_chunk = cur.chunk + 1 == mp.numChunks()
         ? mp.lastChunkInsts
         : mp.chunkInsts;
     return insts + cur.frac * static_cast<double>(this_chunk);
@@ -181,67 +212,85 @@ ProfileCursor::advanceFrom(Pos &pos, MicroSec dt_us, PowerMode m,
     GPM_ASSERT(m < prof.modes.size());
     GPM_ASSERT(dilation >= 1.0);
     const ModeProfile &mp = prof.modes[m];
+    const std::size_t n = mp.numChunks();
+    const double *time_ps = mp.timePs.data();
+    const double *energy_j = mp.energyJ.data();
+    const std::uint32_t *accesses = mp.l2Accesses.data();
+    const std::uint32_t *misses = mp.l2Misses.data();
+    const double chunk_insts = static_cast<double>(mp.chunkInsts);
+    const double last_insts = static_cast<double>(mp.lastChunkInsts);
+
+    // The replay runs as segments, each ending at one (chunk, frac)
+    // position: (n, 0) for an unshifted replay and for a shifted one
+    // before its wrap, the shifted start once it has wrapped. Every
+    // chunk before the segment's end runs to its end (frac 1). The
+    // position lives in locals so the column loads never alias it.
+    std::size_t chunk = pos.chunk;
+    double frac = pos.frac;
+    bool wrapped = pos.wrapped;
+    std::size_t end_chunk = n;
+    double end_frac = 0.0;
+    if (shifted && wrapped) {
+        end_chunk = start.chunk;
+        end_frac = start.frac;
+    }
+
     Delta d;
     double remaining_ps = dt_us * 1e6; // us -> ps
-
-    while (remaining_ps > 0.0 &&
-           !posFinished(pos, mp.chunks.size())) {
-        const ChunkRecord &c = mp.chunks[pos.chunk];
-        std::uint64_t this_chunk_insts =
-            pos.chunk + 1 == mp.chunks.size() ? mp.lastChunkInsts
-                                              : mp.chunkInsts;
-        // A wrapped shifted replay stops mid-chunk at the start
-        // fraction; everywhere else the chunk runs to its end.
-        double end_frac =
-            shifted && pos.wrapped && pos.chunk == start.chunk
-            ? start.frac
-            : 1.0;
-        double chunk_ps = static_cast<double>(c.timePs) * dilation;
-        double rem_frac = end_frac - pos.frac;
-        double rem_ps = chunk_ps * rem_frac;
+    while (remaining_ps > 0.0) {
+        double chunk_end = 1.0;
+        if (chunk >= end_chunk) {
+            if (shifted && !wrapped) {
+                // A shifted replay wraps past the last chunk.
+                chunk = 0;
+                wrapped = true;
+                end_chunk = start.chunk;
+                end_frac = start.frac;
+                continue;
+            }
+            if (chunk > end_chunk || frac >= end_frac)
+                break; // back at the replay's origin: finished
+            chunk_end = end_frac;
+        }
+        const double insts = chunk + 1 == n ? last_insts : chunk_insts;
+        const double chunk_ps = time_ps[chunk] * dilation;
+        const double rem_frac = chunk_end - frac;
+        const double rem_ps = chunk_ps * rem_frac;
 
         if (rem_ps <= remaining_ps) {
-            // Finish the chunk (or the final partial chunk).
-            d.instructions +=
-                rem_frac * static_cast<double>(this_chunk_insts);
-            d.energyJ += rem_frac * c.energyJ;
+            // Finish the chunk (or the segment's final part-chunk).
+            d.instructions += rem_frac * insts;
+            d.energyJ += rem_frac * energy_j[chunk];
             d.l2Accesses +=
-                rem_frac * static_cast<double>(c.l2Accesses);
-            d.l2Misses += rem_frac * static_cast<double>(c.l2Misses);
+                rem_frac * static_cast<double>(accesses[chunk]);
+            d.l2Misses += rem_frac * static_cast<double>(misses[chunk]);
             remaining_ps -= rem_ps;
-            if (end_frac < 1.0) {
-                pos.frac = end_frac; // back at start: finished
+            if (chunk_end < 1.0) {
+                frac = chunk_end;
             } else {
-                pos.chunk++;
-                pos.frac = 0.0;
-                if (shifted && !pos.wrapped &&
-                    pos.chunk >= mp.chunks.size()) {
-                    pos.chunk = 0;
-                    pos.wrapped = true;
-                }
+                chunk++;
+                frac = 0.0;
             }
         } else {
-            double f = remaining_ps / chunk_ps;
-            d.instructions +=
-                f * static_cast<double>(this_chunk_insts);
-            d.energyJ += f * c.energyJ;
-            d.l2Accesses += f * static_cast<double>(c.l2Accesses);
-            d.l2Misses += f * static_cast<double>(c.l2Misses);
-            pos.frac += f;
+            const double f = remaining_ps / chunk_ps;
+            d.instructions += f * insts;
+            d.energyJ += f * energy_j[chunk];
+            d.l2Accesses += f * static_cast<double>(accesses[chunk]);
+            d.l2Misses += f * static_cast<double>(misses[chunk]);
+            frac += f;
             remaining_ps = 0.0;
         }
     }
+    if (shifted && !wrapped && chunk >= n) {
+        chunk = 0;
+        wrapped = true;
+    }
+    pos.chunk = chunk;
+    pos.frac = frac;
+    pos.wrapped = wrapped;
 
     d.usedUs = dt_us - remaining_ps * 1e-6;
-    d.finished = posFinished(pos, mp.chunks.size());
-    return d;
-}
-
-ProfileCursor::Delta
-ProfileCursor::advance(MicroSec dt_us, PowerMode m, double dilation)
-{
-    Delta d = advanceFrom(cur, dt_us, m, dilation);
-    instsAcc += d.instructions;
+    d.finished = posFinished(pos, n);
     return d;
 }
 

@@ -12,6 +12,13 @@
  * position in another mode's timing/energy column — exactly the
  * semantics of the paper's simultaneous multi-trace progression.
  *
+ * In memory a ModeProfile holds its chunks as per-field columns
+ * (time, energy, L2 accesses, L2 misses), the layout the replay
+ * kernel in ProfileCursor reads. ChunkRecord is the on-disk record
+ * the ProfileStore codec writes, one per chunk; every producer
+ * (Profiler, the store decoder, hand-built test profiles) fills a
+ * ModeProfile through ModeProfile::append(ChunkRecord).
+ *
  * ProfileCursor replays a profile in wall-clock time; ProfileLibrary
  * builds, or loads from its content-addressed store, the profiles
  * of the whole suite.
@@ -39,7 +46,8 @@ namespace gpm
 /** Default instructions per profile chunk. */
 constexpr std::uint64_t defaultChunkInsts = 10'000;
 
-/** One profiled chunk at one mode. */
+/** One profiled chunk at one mode: the ProfileStore's on-disk
+ *  record, and the unit ModeProfile::append() takes. */
 struct ChunkRecord
 {
     /** Wall-clock time the chunk took at this mode [ps]. */
@@ -52,15 +60,40 @@ struct ChunkRecord
     std::uint32_t l2Misses = 0;
 };
 
-/** A workload's timing/energy behaviour at one DVFS mode. */
+/**
+ * A workload's timing/energy behaviour at one DVFS mode, one column
+ * per ChunkRecord field, all in program order and of equal length.
+ * Fill it through append() only.
+ */
 struct ModeProfile
 {
-    /** Chunk records in program order. */
-    std::vector<ChunkRecord> chunks;
+    /** Chunk wall time [ps], exact: every value is below 2^53. */
+    std::vector<double> timePs;
+    /** Chunk core energy [J]. */
+    std::vector<double> energyJ;
+    /** Chunk L2 accesses. */
+    std::vector<std::uint32_t> l2Accesses;
+    /** Chunk L2 misses. */
+    std::vector<std::uint32_t> l2Misses;
     /** Instructions in every chunk except possibly the last. */
     std::uint64_t chunkInsts = defaultChunkInsts;
     /** Instructions in the final chunk. */
     std::uint64_t lastChunkInsts = defaultChunkInsts;
+
+    /** Largest ChunkRecord::timePs a column holds exactly. */
+    static constexpr std::uint64_t maxTimePs = 1ULL << 53;
+
+    /** Number of chunks. */
+    std::size_t numChunks() const { return timePs.size(); }
+
+    /** Reserve room for @p n chunks in every column. */
+    void reserve(std::size_t n);
+
+    /** Append one chunk (requires c.timePs < maxTimePs). */
+    void append(const ChunkRecord &c);
+
+    /** Chunk @p i as a record (the store codec's view). */
+    ChunkRecord chunk(std::size_t i) const;
 
     /** Total instructions in the profile. */
     std::uint64_t totalInsts() const;
@@ -187,6 +220,16 @@ class ProfileCursor
      *  position arithmetic cannot recover this across a wrap. */
     double instsAcc = 0.0;
 };
+
+// Inline so that CmpSim's per-core step loop calls the kernel
+// directly.
+inline ProfileCursor::Delta
+ProfileCursor::advance(MicroSec dt_us, PowerMode m, double dilation)
+{
+    Delta d = advanceFrom(cur, dt_us, m, dilation);
+    instsAcc += d.instructions;
+    return d;
+}
 
 class ProfileStore;
 struct WorkloadSpec;

@@ -19,25 +19,34 @@ namespace
 /** Entry payload layout (wrapped in the binio frame): name length
  *  (LE u32) + name bytes, mode count (LE u32), then per mode
  *  chunkInsts (LE u64), lastChunkInsts (LE u64), chunk count
- *  (LE u32) and the raw ChunkRecord array. The magic doubles as the
- *  format version — bump the trailing digit on layout changes. */
+ *  (LE u32) and the raw ChunkRecord array. ModeProfile's in-memory
+ *  columns are interleaved into records on save and split on load.
+ *  The magic doubles as the format version — bump the trailing digit
+ *  on layout changes. */
 constexpr char kMagic[8] = {'G', 'P', 'M', 'P',
                             'R', 'O', 'F', '1'};
+static_assert(sizeof(ChunkRecord) == 24,
+              "ChunkRecord is the on-disk record: no padding");
 
 std::string
 serializeProfile(const WorkloadProfile &p)
 {
+    std::size_t bytes = 8 + p.name.size();
+    for (const ModeProfile &mp : p.modes)
+        bytes += 20 + mp.numChunks() * sizeof(ChunkRecord);
     std::string out;
+    out.reserve(bytes);
     binio::putLe(out, p.name.size(), 4);
     out += p.name;
     binio::putLe(out, p.modes.size(), 4);
     for (const ModeProfile &mp : p.modes) {
         binio::putLe(out, mp.chunkInsts, 8);
         binio::putLe(out, mp.lastChunkInsts, 8);
-        binio::putLe(out, mp.chunks.size(), 4);
-        out.append(
-            reinterpret_cast<const char *>(mp.chunks.data()),
-            mp.chunks.size() * sizeof(ChunkRecord));
+        binio::putLe(out, mp.numChunks(), 4);
+        for (std::size_t i = 0; i < mp.numChunks(); i++) {
+            const ChunkRecord c = mp.chunk(i);
+            out.append(reinterpret_cast<const char *>(&c), sizeof c);
+        }
     }
     return out;
 }
@@ -80,11 +89,15 @@ parseProfile(const std::string &in, WorkloadProfile &out)
             !need(static_cast<std::size_t>(n_chunks) *
                   sizeof(ChunkRecord)))
             return false;
-        mp.chunks.resize(n_chunks);
-        std::memcpy(mp.chunks.data(), in.data() + off,
-                    n_chunks * sizeof(ChunkRecord));
-        off += static_cast<std::size_t>(n_chunks) *
-            sizeof(ChunkRecord);
+        mp.reserve(n_chunks);
+        for (std::uint32_t i = 0; i < n_chunks; i++) {
+            ChunkRecord c;
+            std::memcpy(&c, in.data() + off, sizeof c);
+            off += sizeof c;
+            if (c.timePs >= ModeProfile::maxTimePs)
+                return false;
+            mp.append(c);
+        }
         p.modes.push_back(std::move(mp));
     }
     if (off != in.size()) // trailing garbage

@@ -41,7 +41,7 @@ Profiler::profileWorkload(const WorkloadSpec &spec,
                             dvfs.frequency(static_cast<PowerMode>(mi)));
         result.modes[mi].chunkInsts = chunk_insts;
         result.modes[mi].lastChunkInsts = chunk_insts;
-        result.modes[mi].chunks.reserve(n_chunks);
+        result.modes[mi].reserve(n_chunks);
     }
 
     // Close the chunk of @p insts ops at every mode.
@@ -56,7 +56,7 @@ Profiler::profileWorkload(const WorkloadSpec &spec,
             c.energyJ = power.energy(a, static_cast<PowerMode>(mi));
             c.l2Accesses = static_cast<std::uint32_t>(a.l2Accesses);
             c.l2Misses = static_cast<std::uint32_t>(a.l2Misses);
-            result.modes[mi].chunks.push_back(c);
+            result.modes[mi].append(c);
             result.modes[mi].lastChunkInsts = insts;
         }
         ops.act.reset();

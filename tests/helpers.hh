@@ -80,7 +80,7 @@ syntheticProfile(std::size_t chunks, std::uint64_t chunk_insts,
             r.energyJ = base_j * pscale[m];
             r.l2Misses = l2_misses_per_chunk;
             r.l2Accesses = l2_misses_per_chunk * 2;
-            mp.chunks.push_back(r);
+            mp.append(r);
         }
         p.modes.push_back(std::move(mp));
     }

@@ -1,10 +1,13 @@
 /** @file Integration tests for the trace-based CMP simulator on
  *  hand-built profiles (exact expectations). */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
 #include "sim/cmp_sim.hh"
+#include "util/rng.hh"
 
 namespace gpm
 {
@@ -302,6 +305,96 @@ TEST_F(CmpSimTest, OraclePolicyRunsAndMeetsBudget)
     auto mgr = manager("Oracle");
     auto r = sim.run(mgr, BudgetSchedule(0.8), ref);
     EXPECT_LE(r.avgCorePowerW(), 0.8 * ref * 1.02);
+}
+
+/** Chunks of seeded, varying length, energy and miss traffic;
+ *  slower modes scale time and energy as the classic table does. */
+WorkloadProfile
+variedProfile(std::uint64_t seed)
+{
+    const double slowdown[] = {1.0, 1.0 / 0.95, 1.0 / 0.85};
+    const double pscale[] = {1.0, 0.857375, 0.614125};
+    Rng rng(seed);
+    std::vector<ChunkRecord> base(300);
+    for (ChunkRecord &c : base) {
+        c.timePs =
+            static_cast<std::uint64_t>(rng.uniform(4.0, 16.0) * 1e6);
+        c.energyJ = rng.uniform(0.5e-4, 1.5e-4);
+        c.l2Misses = static_cast<std::uint32_t>(rng.uniform(0.0, 40.0));
+        c.l2Accesses = c.l2Misses * 3;
+    }
+    WorkloadProfile p;
+    p.name = "varied";
+    for (std::size_t m = 0; m < 3; m++) {
+        ModeProfile mp;
+        for (const ChunkRecord &b : base) {
+            ChunkRecord c = b;
+            c.timePs = static_cast<std::uint64_t>(
+                static_cast<double>(b.timePs) * slowdown[m]);
+            c.energyJ = b.energyJ * pscale[m];
+            mp.append(c);
+        }
+        p.modes.push_back(std::move(mp));
+    }
+    return p;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(CmpSimTest, StepPowerTrackingLeavesResultsBitwiseUnchanged)
+{
+    // Per-step power is only computed for the timeline and the
+    // thermal model; transition stalls charge the last step's power
+    // either way. Turning either on must not move a bit of a managed
+    // run that stalls on every switch.
+    auto a = variedProfile(1), b = variedProfile(2);
+    std::vector<std::pair<MicroSec, double>> steps;
+    for (int i = 0; i < 40; i++)
+        steps.push_back({i * 500.0, i % 2 ? 0.65 : 0.95});
+    const BudgetSchedule budget(steps);
+    for (bool contention : {false, true}) {
+        SCOPED_TRACE(contention ? "contention" : "no contention");
+        SimConfig cfg;
+        cfg.recordTimeline = false;
+        cfg.contention = contention;
+        cfg.phaseShiftStride = 0.3; // cores start apart and wrap
+        SimConfig thermal_cfg = cfg;
+        thermal_cfg.trackThermal = true;
+        std::vector<const WorkloadProfile *> profs = {&a, &b, &a, &b};
+        CmpSim sim(profs, dvfs, cfg);
+        CmpSim thermal_sim(profs, dvfs, thermal_cfg);
+        const Watts ref = sim.referencePowerW();
+
+        auto mgr_off = manager("MaxBIPS");
+        auto mgr_on = manager("MaxBIPS");
+        auto mgr_th = manager("MaxBIPS");
+        const SimResult off = sim.run(mgr_off, budget, ref, false);
+        const SimResult on = sim.run(mgr_on, budget, ref, true);
+        const SimResult th = thermal_sim.run(mgr_th, budget, ref, false);
+        ASSERT_TRUE(off.timeline.empty());
+        ASSERT_FALSE(on.timeline.empty());
+        ASSERT_GT(th.peakTempC, 0.0);
+        ASSERT_GT(off.managerStats.modeSwitches, 4u);
+
+        for (const SimResult *r : {&on, &th}) {
+            EXPECT_TRUE(sameBits({r->endUs}, {off.endUs}));
+            EXPECT_TRUE(sameBits(r->coreEnergyJ, off.coreEnergyJ));
+            EXPECT_TRUE(sameBits(r->coreInstructions,
+                                 off.coreInstructions));
+            EXPECT_TRUE(sameBits({r->uncoreEnergyJ}, {off.uncoreEnergyJ}));
+            EXPECT_EQ(r->managerStats.decisions,
+                      off.managerStats.decisions);
+            EXPECT_EQ(r->managerStats.overshoots,
+                      off.managerStats.overshoots);
+            EXPECT_EQ(r->managerStats.modeSwitches,
+                      off.managerStats.modeSwitches);
+        }
+    }
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "trace/profile_store.hh"
 #include "trace/profiler.hh"
 #include "trace/workload.hh"
+#include "util/binio.hh"
 #include "util/fault.hh"
 
 namespace gpm
@@ -40,10 +41,17 @@ identical(const WorkloadProfile &a, const WorkloadProfile &b)
         const ModeProfile &x = a.modes[m], &y = b.modes[m];
         if (x.chunkInsts != y.chunkInsts ||
             x.lastChunkInsts != y.lastChunkInsts ||
-            x.chunks.size() != y.chunks.size())
+            x.numChunks() != y.numChunks())
             return false;
-        if (std::memcmp(x.chunks.data(), y.chunks.data(),
-                        x.chunks.size() * sizeof(ChunkRecord)) != 0)
+        const std::size_t n = x.numChunks();
+        if (std::memcmp(x.timePs.data(), y.timePs.data(),
+                        n * sizeof(double)) != 0 ||
+            std::memcmp(x.energyJ.data(), y.energyJ.data(),
+                        n * sizeof(double)) != 0 ||
+            std::memcmp(x.l2Accesses.data(), y.l2Accesses.data(),
+                        n * sizeof(std::uint32_t)) != 0 ||
+            std::memcmp(x.l2Misses.data(), y.l2Misses.data(),
+                        n * sizeof(std::uint32_t)) != 0)
             return false;
     }
     return true;
@@ -117,6 +125,95 @@ TEST_F(ProfileStoreTest, StoreRoundTrip)
     ASSERT_TRUE(store.load("mcf", 0x1234, q));
     EXPECT_TRUE(identical(p, q));
     EXPECT_EQ(store.stats().hits, 1u);
+}
+
+/** The entry file's bytes ("" when it cannot be read). */
+std::string
+entryBytes(const ProfileStore &store, const std::string &name,
+           std::uint64_t fp)
+{
+    std::string raw;
+    return binio::readWholeFile(store.pathFor(name, fp), raw) ? raw : "";
+}
+
+TEST_F(ProfileStoreTest, DecodeThenEncodeIsByteIdentical)
+{
+    WorkloadProfile p = buildOne("art");
+    ProfileStore first(dir + "/first");
+    ASSERT_TRUE(first.save("art", 0x1234, p));
+    const std::string written = entryBytes(first, "art", 0x1234);
+    ASSERT_FALSE(written.empty());
+
+    WorkloadProfile decoded;
+    ASSERT_TRUE(first.load("art", 0x1234, decoded));
+    ProfileStore second(dir + "/second");
+    ASSERT_TRUE(second.save("art", 0x1234, decoded));
+    EXPECT_EQ(entryBytes(second, "art", 0x1234), written);
+}
+
+/**
+ * An entry laid out by hand as the format defines it: the payload
+ * header, then each mode's ChunkRecords as one raw array, framed.
+ * This is the layout every earlier store wrote. @p patch may edit
+ * the records before they are written.
+ */
+std::string
+recordArrayEntry(const WorkloadProfile &p,
+                 void (*patch)(std::vector<ChunkRecord> &) = nullptr)
+{
+    std::string payload;
+    binio::putLe(payload, p.name.size(), 4);
+    payload += p.name;
+    binio::putLe(payload, p.modes.size(), 4);
+    for (const ModeProfile &mp : p.modes) {
+        binio::putLe(payload, mp.chunkInsts, 8);
+        binio::putLe(payload, mp.lastChunkInsts, 8);
+        binio::putLe(payload, mp.numChunks(), 4);
+        std::vector<ChunkRecord> records;
+        for (std::size_t i = 0; i < mp.numChunks(); i++)
+            records.push_back(mp.chunk(i));
+        if (patch)
+            patch(records);
+        payload.append(reinterpret_cast<const char *>(records.data()),
+                       records.size() * sizeof(ChunkRecord));
+    }
+    const char magic[8] = {'G', 'P', 'M', 'P', 'R', 'O', 'F', '1'};
+    return binio::frame(magic, payload);
+}
+
+TEST_F(ProfileStoreTest, RecordArrayEntryLoadsWithoutBuild)
+{
+    // Such an entry must load without a build, equal the profile it
+    // was made from, and be written back byte for byte.
+    WorkloadProfile p = buildOne("art");
+    const std::string entry = recordArrayEntry(p);
+    ProfileLibrary lib(dvfs, kScale);
+    lib.attachStore(dir);
+    ProfileStore store(dir);
+    const std::uint64_t fp = lib.workloadFingerprint(workload("art"));
+    ASSERT_TRUE(binio::writeFileAtomic(store.pathFor("art", fp), entry));
+
+    EXPECT_TRUE(identical(lib.get("art"), p));
+    EXPECT_EQ(lib.stats().builds, 0u);
+    EXPECT_EQ(lib.stats().diskHits, 1u);
+    ASSERT_TRUE(store.save("art", fp, lib.get("art")));
+    EXPECT_EQ(entryBytes(store, "art", fp), entry);
+}
+
+TEST_F(ProfileStoreTest, ChunkTimeBeyondExactDoubleQuarantined)
+{
+    // A chunk time a double cannot hold exactly is refused at load,
+    // even inside a well-formed frame.
+    WorkloadProfile p = buildOne("art");
+    ProfileStore store(dir);
+    ASSERT_TRUE(binio::writeFileAtomic(
+        store.pathFor("art", 0x1234),
+        recordArrayEntry(p, [](std::vector<ChunkRecord> &r) {
+            r.back().timePs = ModeProfile::maxTimePs;
+        })));
+    WorkloadProfile q;
+    EXPECT_FALSE(store.load("art", 0x1234, q));
+    EXPECT_EQ(store.stats().quarantined, 1u);
 }
 
 TEST_F(ProfileStoreTest, FingerprintAddressesEntries)

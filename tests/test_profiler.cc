@@ -31,8 +31,8 @@ TEST_F(ProfilerTest, ChunkStructureConsistentAcrossModes)
 {
     auto p = prof.profileWorkload(workload("ammp"), 0.01);
     ASSERT_EQ(p.modes.size(), 3u);
-    EXPECT_EQ(p.at(0).chunks.size(), p.at(1).chunks.size());
-    EXPECT_EQ(p.at(0).chunks.size(), p.at(2).chunks.size());
+    EXPECT_EQ(p.at(0).numChunks(), p.at(1).numChunks());
+    EXPECT_EQ(p.at(0).numChunks(), p.at(2).numChunks());
     EXPECT_EQ(p.at(0).totalInsts(), p.at(2).totalInsts());
 }
 
@@ -90,8 +90,8 @@ TEST_F(ProfilerTest, L2TrafficComparableAcrossModes)
     auto p = prof.profileWorkload(workload("art"), 0.01);
     auto misses = [](const ModeProfile &mp) {
         double m = 0;
-        for (const auto &c : mp.chunks)
-            m += c.l2Misses;
+        for (std::uint32_t c : mp.l2Misses)
+            m += c;
         return m;
     };
     double m0 = misses(p.at(modes::Turbo));
@@ -107,7 +107,7 @@ TEST_F(ProfilerTest, CustomChunkSize)
     auto p2 =
         prof.profileWorkload(workload("mcf"), 0.01, 20'000);
     EXPECT_EQ(p1.at(0).totalInsts(), p2.at(0).totalInsts());
-    EXPECT_GT(p1.at(0).chunks.size(), p2.at(0).chunks.size());
+    EXPECT_GT(p1.at(0).numChunks(), p2.at(0).numChunks());
 }
 
 TEST_F(ProfilerTest, MemoryBoundHasLowerPower)
@@ -146,7 +146,7 @@ referenceMode(const WorkloadSpec &spec, const DvfsTable &dvfs,
         c.energyJ = power.energy(r.activity, m);
         c.l2Accesses = static_cast<std::uint32_t>(r.activity.l2Accesses);
         c.l2Misses = static_cast<std::uint32_t>(r.activity.l2Misses);
-        mp.chunks.push_back(c);
+        mp.append(c);
         if (r.streamEnded || r.instructions < chunk) {
             mp.lastChunkInsts = r.instructions;
             break;
@@ -194,9 +194,9 @@ TEST_P(LockstepProfileTest, MatchesOneCoreRunPerModeBitwise)
             EXPECT_EQ(got.lastChunkInsts, want.lastChunkInsts);
             EXPECT_EQ(got.lastChunkInsts, tail ? tail : c.chunk);
             EXPECT_EQ(got.totalInsts(), total);
-            ASSERT_EQ(got.chunks.size(), want.chunks.size());
-            for (std::size_t k = 0; k < got.chunks.size(); k++) {
-                const ChunkRecord &x = got.chunks[k], &y = want.chunks[k];
+            ASSERT_EQ(got.numChunks(), want.numChunks());
+            for (std::size_t k = 0; k < got.numChunks(); k++) {
+                const ChunkRecord x = got.chunk(k), y = want.chunk(k);
                 EXPECT_EQ(std::memcmp(&x.timePs, &y.timePs,
                                       sizeof x.timePs), 0)
                     << "chunk " << k;
